@@ -1,6 +1,6 @@
 //! Machine-readable performance report: `BENCH_sim.json`,
-//! `BENCH_ee_search.json`, `BENCH_parallel.json`, `BENCH_pipeline.json`,
-//! `BENCH_queue.json`, `BENCH_batch.json` and `BENCH_eco.json`.
+//! `BENCH_ee_search.json`, `BENCH_parallel.json`, `BENCH_queue.json`,
+//! `BENCH_batch.json` and `BENCH_eco.json`.
 //!
 //! This is the cross-PR perf trajectory tracker. It measures, in one run:
 //!
@@ -19,13 +19,6 @@
 //!   check between the two runs. The recorded `host_cpus` value is the
 //!   context for the speedup: on a single-core host the parallel run can
 //!   only tie, while the outputs must still match exactly.
-//! * **Pipelined single-stream scaling** (`BENCH_pipeline.json`) — ONE
-//!   continuous vector stream on b14/b15 run three ways: the leader-only
-//!   pass (state advance via `feed_vector`, no output collection — the
-//!   cheap half of the pipelined sweep), the full sequential
-//!   `run_stream`, and `pl_sim::parallel::sweep_pipelined` at 4 workers,
-//!   with the pipelined outcome asserted bit-identical to the sequential
-//!   one before any timing is reported.
 //! * **Event-queue backends** (`BENCH_queue.json`) — events/sec of the
 //!   engine scheduling through the binary heap vs the calendar/ladder
 //!   queue (`pl_sim::QueueKind`) on the same streamed b14/b15 workload,
@@ -175,7 +168,7 @@ fn host_meta_json() -> String {
 const SPEC: pl_flow::cli::CliSpec = pl_flow::cli::CliSpec {
     bin: "bench_report",
     about:
-        "write BENCH_sim.json, BENCH_ee_search.json, BENCH_parallel.json, BENCH_pipeline.json, BENCH_queue.json, BENCH_batch.json and BENCH_eco.json",
+        "write BENCH_sim.json, BENCH_ee_search.json, BENCH_parallel.json, BENCH_queue.json, BENCH_batch.json and BENCH_eco.json",
     positional: None,
     options: &[
         pl_flow::cli::OptSpec {
@@ -384,6 +377,10 @@ fn main() {
     let par_reps = if quick { 2 } else { 5 };
     let shards = 8usize;
     let shard_len = par_vectors.div_ceil(shards);
+    let workers = |jobs| pl_sim::SweepConfig {
+        jobs,
+        ..pl_sim::SweepConfig::default()
+    };
     let mut par_lines = Vec::new();
     for id in ["b14", "b15"] {
         let (_, pl) = prepared_netlists(id);
@@ -394,19 +391,21 @@ fn main() {
         );
         let delays = DelayModel::default();
         // Warm-up (also the bit-identity check between the two modes).
-        let seq = pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, 1).expect("sweeps");
-        let par =
-            pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, PAR_WORKERS).expect("sweeps");
+        let seq =
+            pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(1)).expect("sweeps");
+        let par = pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(PAR_WORKERS))
+            .expect("sweeps");
         assert_eq!(seq, par, "{id}: parallel sweep diverged from sequential");
         let (mut seq_secs, mut par_secs) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..par_reps {
             let t0 = Instant::now();
-            let r = pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, 1).expect("sweeps");
+            let r =
+                pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(1)).expect("sweeps");
             seq_secs = seq_secs.min(t0.elapsed().as_secs_f64());
             debug_assert_eq!(r, seq);
             let t0 = Instant::now();
-            let r =
-                pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, PAR_WORKERS).expect("sweeps");
+            let r = pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(PAR_WORKERS))
+                .expect("sweeps");
             par_secs = par_secs.min(t0.elapsed().as_secs_f64());
             debug_assert_eq!(r, seq);
         }
@@ -429,80 +428,6 @@ fn main() {
     par_json.push_str("\n  ]\n}\n");
     std::fs::write("BENCH_parallel.json", &par_json).expect("write BENCH_parallel.json");
     println!("wrote BENCH_parallel.json");
-
-    // ---- BENCH_pipeline.json -------------------------------------------
-    // Pipelined SINGLE-stream parallelism (state carries across every
-    // vector — no shard resets): leader-only vs full-replay vs pipelined
-    // timing on one continuous b14/b15 stream. The leader pass is the
-    // cheap half of `sweep_pipelined` (injection-only state advance, no
-    // output collection or latency bookkeeping); the sequential
-    // `run_stream` is what every window's replay adds up to; the pipelined
-    // sweep overlaps the two across PIPE_WORKERS threads. Bit-identity
-    // between the pipelined and sequential outcomes is asserted before any
-    // timing is recorded, and timing follows the other sections' protocol
-    // (warm-up pass, then interleaved reps with the minimum kept).
-    const PIPE_WORKERS: usize = 4;
-    let pipe_vectors: usize = if quick { 24 } else { 120 };
-    let pipe_window: usize = if quick { 4 } else { 10 };
-    let pipe_reps = if quick { 2 } else { 5 };
-    let mut pipe_lines = Vec::new();
-    for id in ["b14", "b15"] {
-        let (_, pl) = prepared_netlists(id);
-        let vecs = lcg_vectors(
-            pl.input_gates().len(),
-            pipe_vectors,
-            0x5EED_0000 + pipe_vectors as u64,
-        );
-        let delays = DelayModel::default();
-        // Warm-up + the bit-identity gate.
-        let seq = PlSimulator::new(&pl, delays.clone())
-            .expect("live")
-            .run_stream(&vecs)
-            .expect("streams");
-        let piped =
-            pl_sim::sweep_pipelined(&pl, &delays, &vecs, pipe_window, PIPE_WORKERS).expect("pipes");
-        assert_eq!(seq, piped, "{id}: pipelined sweep diverged from run_stream");
-        let (mut leader_secs, mut seq_secs, mut pipe_secs) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..pipe_reps {
-            let t0 = Instant::now();
-            let mut leader = PlSimulator::new(&pl, delays.clone()).expect("live");
-            for v in &vecs {
-                leader.feed_vector(v).expect("feeds");
-            }
-            leader_secs = leader_secs.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            let r = PlSimulator::new(&pl, delays.clone())
-                .expect("live")
-                .run_stream(&vecs)
-                .expect("streams");
-            seq_secs = seq_secs.min(t0.elapsed().as_secs_f64());
-            debug_assert_eq!(r, seq);
-            let t0 = Instant::now();
-            let r = pl_sim::sweep_pipelined(&pl, &delays, &vecs, pipe_window, PIPE_WORKERS)
-                .expect("pipes");
-            pipe_secs = pipe_secs.min(t0.elapsed().as_secs_f64());
-            debug_assert_eq!(r, seq);
-        }
-        println!(
-            "{id}: pipelined stream ({pipe_vectors} vectors, window {pipe_window}, min of {pipe_reps}) leader-only {leader_secs:.3}s, sequential {seq_secs:.3}s, {PIPE_WORKERS} workers {pipe_secs:.3}s, speedup {:.2}x (host has {host_cpus} cpu(s)), outputs bit-identical",
-            seq_secs / pipe_secs,
-        );
-        pipe_lines.push(format!(
-            "    {{\"bench\": \"{id}\", \"vectors\": {pipe_vectors}, \"window\": {pipe_window}, \"workers\": {PIPE_WORKERS}, \"reps\": {pipe_reps}, \"leader_secs\": {leader_secs:.6}, \"sequential_secs\": {seq_secs:.6}, \"pipelined_secs\": {pipe_secs:.6}, \"speedup\": {:.3}, \"bit_identical\": true}}",
-            seq_secs / pipe_secs,
-        ));
-    }
-    let mut pipe_json = format!("{{\n{host_meta}");
-    let _ = writeln!(
-        pipe_json,
-        "  \"note\": \"one continuous vector stream (state carries across vectors, unlike the sharded sweep's resets); leader_secs is the injection-only state-advance pass, sequential_secs the full run_stream every window replay adds up to, pipelined_secs the leader+replay overlap on workers threads; secs are the min over reps after a warm-up; the pipelined outcome is asserted bit-identical to run_stream; speedup is bounded by host_cpus and by the leader's share of the work\","
-    );
-    pipe_json.push_str("  \"pipelined_streams\": [\n");
-    pipe_json.push_str(&pipe_lines.join(",\n"));
-    pipe_json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_pipeline.json", &pipe_json).expect("write BENCH_pipeline.json");
-    println!("wrote BENCH_pipeline.json");
 
     // ---- BENCH_queue.json ----------------------------------------------
     // Event-queue backend comparison: the same continuous vector stream

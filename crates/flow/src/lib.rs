@@ -212,7 +212,7 @@ mod tests {
     /// A zero streaming window is caught as a typed
     /// [`FlowError::Options`] before any stage runs (library callers get
     /// the same rejection as plc's flag checks), not as a panic deep
-    /// inside the pipelined sweep.
+    /// inside the resumable sweep.
     #[test]
     fn zero_window_is_a_typed_error() {
         let pipeline = Pipeline::new(FlowOptions {
@@ -297,10 +297,10 @@ mod tests {
             ),
             (
                 FlowOptions {
-                    max_retries: Some(3),
+                    vectors: FlowOptions::MAX_VECTORS + 1,
                     ..base.clone()
                 },
-                "--max-retries requires --checkpoint-dir",
+                "--vectors 1048577 is above the maximum of 1048576 per run",
             ),
         ];
         for (opts, expect) in cases {
@@ -331,10 +331,15 @@ mod tests {
         .validate()
         .unwrap();
         FlowOptions {
+            vectors: FlowOptions::MAX_VECTORS,
+            ..base.clone()
+        }
+        .validate()
+        .unwrap();
+        FlowOptions {
             window: Some(8),
             checkpoint_dir: dir,
             resume: true,
-            max_retries: Some(1),
             ..base
         }
         .validate()

@@ -71,7 +71,9 @@ use pl_core::PlNetlist;
 use pl_lint::{LintOptions, LintReport};
 use pl_netlist::blif::BlifNote;
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, LatencyStats, QueueKind, ResumableOptions, SweepRecovery};
+use pl_sim::{
+    DelayModel, LatencyStats, PlSimulator, QueueKind, ResumableOptions, SweepConfig, SweepRecovery,
+};
 use pl_techmap::{map_with_memo, MapMemo, MapOptions, MapReuseStats, ReusePlan};
 
 use crate::error::FlowError;
@@ -93,8 +95,10 @@ pub struct FlowOptions {
     pub delays: DelayModel,
     /// Cross-check PL outputs against the synchronous reference.
     pub verify: bool,
-    /// Worker threads for the simulate stage's variant sweep (`0` = one
-    /// per core). Results are bit-identical at any value.
+    /// Worker threads for the simulate stage (`0` = one per core): the
+    /// per-vector and streamed protocols spread the plain and EE variants
+    /// over them, the lane protocol its 64 substreams. Results are
+    /// bit-identical at any value; `jobs` never selects a code path.
     pub jobs: usize,
     /// Event-queue backend for every simulator the simulate stage builds
     /// (binary heap or calendar/ladder queue). A pure implementation
@@ -102,14 +106,14 @@ pub struct FlowOptions {
     /// across kinds; only the queue-operation cost profile changes.
     pub queue: QueueKind,
     /// When set, the simulate stage runs the *streamed* protocol instead
-    /// of the per-vector latency protocol: each variant's vector stream
-    /// goes through [`pl_sim::parallel::sweep_pipelined`] in windows of
-    /// this many vectors (checkpoint handoff, `jobs` workers), producing a
-    /// [`pl_sim::StreamOutcome`] bit-identical to a sequential
-    /// [`pl_sim::PlSimulator::run_stream`] call at any `(jobs, window)`.
-    /// Latency statistics are empty in this mode (a pipelined stream has
-    /// no per-vector stable-input→stable-output latency); makespan and
-    /// throughput are reported instead.
+    /// of the per-vector latency protocol: each variant's whole vector
+    /// stream runs as one continuous [`pl_sim::PlSimulator::run_stream`]
+    /// pass, or, with [`FlowOptions::checkpoint_dir`], through the
+    /// crash-resumable [`pl_sim::sweep_resumable`], which checkpoints and
+    /// journals every window of this many vectors. The outcome is
+    /// bit-identical either way. Latency statistics are empty in this
+    /// mode (a pipelined stream has no per-vector stable-input→stable-output
+    /// latency); makespan and throughput are reported instead.
     pub window: Option<usize>,
     /// When set, the simulate stage runs the *lane* protocol: the vector
     /// stream is striped 64 ways (vector `i` → substream `i % 64`, round
@@ -127,10 +131,11 @@ pub struct FlowOptions {
     pub lanes: Option<usize>,
     /// When set (streamed protocol only), the simulate stage runs each
     /// variant through the crash-resumable sweep
-    /// ([`pl_sim::sweep_resumable`]) instead of the in-memory pipelined
-    /// sweep: window-boundary checkpoints and a completed-window journal
-    /// are written under this directory (`plain/` and `ee/` subtrees, one
-    /// per variant), so a killed run can be resumed bit-identically with
+    /// ([`pl_sim::sweep_resumable`]) instead of a plain
+    /// [`pl_sim::PlSimulator::run_stream`]: a checkpoint at every window
+    /// boundary and a completed-window journal are written under this
+    /// directory (`plain/` and `ee/` subtrees, one per variant), so a
+    /// killed run can be resumed bit-identically with
     /// [`FlowOptions::resume`]. Requires [`FlowOptions::window`].
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume an interrupted sweep already present in
@@ -140,13 +145,6 @@ pub struct FlowOptions {
     /// subtree, e.g. the run was killed before reaching the EE variant —
     /// is started fresh rather than failing.
     pub resume: bool,
-    /// Re-attempts granted to a failed or panicked sweep window before it
-    /// degrades to in-process execution (resumable protocol only).
-    /// `None` takes the resumable sweep's default
-    /// ([`ResumableOptions::default`]); `Some` requires
-    /// [`FlowOptions::checkpoint_dir`] — there is no resumable sweep to
-    /// tune otherwise, and [`FlowOptions::validate`] rejects the combo.
-    pub max_retries: Option<u32>,
     /// Technology-mapping options (LUT arity, cut budget, cleanup).
     pub map: MapOptions,
     /// Run the standalone netlist cleanup passes (constant propagation,
@@ -177,7 +175,6 @@ impl Default for FlowOptions {
             lanes: None,
             checkpoint_dir: None,
             resume: false,
-            max_retries: None,
             map: MapOptions::default(),
             optimize: false,
             lint: LintOptions::default(),
@@ -186,13 +183,19 @@ impl Default for FlowOptions {
 }
 
 impl FlowOptions {
-    /// Rejects inconsistent option combinations with a typed
-    /// [`FlowError::Options`] — the same combinations `plc` rejects at
-    /// the command line, phrased with the same flag names, so
+    /// The most vectors one run may simulate (2^20). The vector stream is
+    /// generated up front, so this bounds a run's memory; it sits far
+    /// above any count the paper's protocol or the benchmarks use.
+    pub const MAX_VECTORS: usize = 1 << 20;
+
+    /// Rejects out-of-range options and inconsistent option combinations
+    /// with a typed [`FlowError::Options`] — the same ones `plc` rejects
+    /// at the command line, phrased with the same flag names, so
     /// programmatic callers (the `pld` daemon building options from
     /// network requests, library embedders) cannot silently bypass them:
     ///
     /// * a LUT arity outside `2..=6`,
+    /// * more than [`FlowOptions::MAX_VECTORS`] vectors,
     /// * a zero streaming window,
     /// * a lane width other than 1 or 64,
     /// * [`FlowOptions::lanes`] with [`FlowOptions::window`] (the lane
@@ -201,8 +204,7 @@ impl FlowOptions {
     ///   (the lane sweep is not resumable),
     /// * [`FlowOptions::checkpoint_dir`] without a window (only the
     ///   streamed sweep is resumable),
-    /// * [`FlowOptions::resume`] without a checkpoint directory,
-    /// * [`FlowOptions::max_retries`] without a checkpoint directory.
+    /// * [`FlowOptions::resume`] without a checkpoint directory.
     ///
     /// Called at the top of [`Pipeline::run`], [`Pipeline::simulate`]
     /// and [`Pipeline::eco_session`], so an invalid combination fails
@@ -218,6 +220,13 @@ impl FlowOptions {
             return reject(format!(
                 "--lut-size {} is outside the supported range 2..=6",
                 self.map.lut_size
+            ));
+        }
+        if self.vectors > Self::MAX_VECTORS {
+            return reject(format!(
+                "--vectors {} is above the maximum of {} per run",
+                self.vectors,
+                Self::MAX_VECTORS
             ));
         }
         if self.window == Some(0) {
@@ -251,12 +260,6 @@ impl FlowOptions {
         if self.resume && self.checkpoint_dir.is_none() {
             return reject(
                 "--resume requires --checkpoint-dir (nowhere to resume from)".to_string(),
-            );
-        }
-        if self.max_retries.is_some() && self.checkpoint_dir.is_none() {
-            return reject(
-                "--max-retries requires --checkpoint-dir (it tunes the resumable sweep)"
-                    .to_string(),
             );
         }
         Ok(())
@@ -427,12 +430,12 @@ pub struct EarlyEvaled {
 pub struct SimReport {
     /// Vectors simulated per variant.
     pub vectors: usize,
-    /// Worker threads used for the variant sweep.
+    /// Worker threads the stage ran on.
     pub jobs: usize,
     /// Event-queue backend the stage's simulators scheduled through.
     pub queue: QueueKind,
-    /// Pipelined-window size when the streamed protocol ran
-    /// (see [`FlowOptions::window`]); `None` for the per-vector protocol.
+    /// Window size when the streamed protocol ran (see
+    /// [`FlowOptions::window`]); `None` for the per-vector protocol.
     pub window: Option<usize>,
     /// Lane width when the lane protocol ran (see
     /// [`FlowOptions::lanes`]): `Some(1)` for 64 scalar substreams,
@@ -467,14 +470,14 @@ pub struct Simulated {
     /// Latency statistics with EE (`None` when EE is disabled; empty in
     /// streamed mode).
     pub stats_ee: Option<LatencyStats>,
-    /// Streamed outcome of the plain variant when the pipelined protocol
+    /// Streamed outcome of the plain variant when the streamed protocol
     /// ran (see [`FlowOptions::window`]) — **metrics only**
     /// (makespan/throughput); its `outputs` vector is empty because the
     /// output words live once, in [`Simulated::outputs`].
     pub stream_plain: Option<pl_sim::StreamOutcome>,
     /// Streamed outcome of the EE variant (metrics only, same contract as
     /// `stream_plain`; the EE words were asserted identical to the plain
-    /// ones), when EE and the pipelined protocol are both enabled.
+    /// ones), when EE and the streamed protocol are both enabled.
     pub stream_ee: Option<pl_sim::StreamOutcome>,
     /// Stage report.
     pub report: SimReport,
@@ -511,7 +514,7 @@ pub struct FlowArtifacts {
     /// Latency statistics with EE (`None` when EE is disabled; empty in
     /// streamed mode).
     pub stats_ee: Option<LatencyStats>,
-    /// Streamed outcome of the plain variant when the pipelined protocol
+    /// Streamed outcome of the plain variant when the streamed protocol
     /// ran — metrics only; the words live in [`FlowArtifacts::outputs`].
     pub stream_plain: Option<pl_sim::StreamOutcome>,
     /// Streamed outcome of the EE variant (metrics only).
@@ -559,6 +562,16 @@ impl FlowReport {
             + self.simulate.secs
             + self.verify.as_ref().map_or(0.0, |v| v.secs)
     }
+}
+
+/// One variant's simulate-stage result under the per-vector or streamed
+/// protocol: its output words, its latency statistics (empty when
+/// streamed), and its stream outcome and recovery trail (streamed only).
+struct VariantRun {
+    outputs: Vec<Vec<bool>>,
+    stats: LatencyStats,
+    stream: Option<pl_sim::StreamOutcome>,
+    recovery: Option<SweepRecovery>,
 }
 
 /// The compile pipeline, configured once and callable stage by stage.
@@ -822,21 +835,20 @@ impl Pipeline {
     /// variant's. Two protocols, selected by [`FlowOptions::window`]:
     ///
     /// * **Per-vector** (`window: None`, the paper's Table 3 protocol) —
-    ///   measures stable-input→stable-output latency vector by vector,
-    ///   scattering the plain/EE variants across [`FlowOptions::jobs`]
-    ///   workers.
+    ///   measures stable-input→stable-output latency vector by vector.
     /// * **Streamed** (`window: Some(n)`) — pipelines the whole vector
-    ///   stream through each variant via
-    ///   [`pl_sim::parallel::sweep_pipelined`] (`n`-vector checkpointed
-    ///   windows, `jobs` workers inside one stream), reporting makespan
-    ///   and throughput instead of per-vector latencies. With
+    ///   stream through each variant as one continuous
+    ///   [`pl_sim::PlSimulator::run_stream`] pass, reporting makespan and
+    ///   throughput instead of per-vector latencies. With
     ///   [`FlowOptions::checkpoint_dir`] set, the stream runs through the
     ///   crash-resumable sweep instead ([`pl_sim::sweep_resumable`]:
-    ///   on-disk checkpoints + journal, kill/resume recovery, bounded
-    ///   worker retry) and the report carries each variant's
+    ///   on-disk checkpoints every `n` vectors + journal, kill/resume
+    ///   recovery) and the report carries each variant's
     ///   [`SweepRecovery`] audit trail.
     ///
-    /// Either way the results are bit-identical at any worker count.
+    /// Either way the plain/EE variants are scattered across
+    /// [`FlowOptions::jobs`] workers, and the results are bit-identical
+    /// at any worker count.
     ///
     /// # Errors
     ///
@@ -874,25 +886,13 @@ impl Pipeline {
             for (i, v) in inputs.iter().enumerate() {
                 subs[i % 64].push(v.clone());
             }
-            let sweep = |pl: &PlNetlist| {
-                if lanes == 64 {
-                    pl_sim::sweep_streams_batch_with_queue(
-                        pl,
-                        &self.opts.delays,
-                        &subs,
-                        self.opts.jobs,
-                        self.opts.queue,
-                    )
-                } else {
-                    pl_sim::sweep_streams_with_queue(
-                        pl,
-                        &self.opts.delays,
-                        &subs,
-                        self.opts.jobs,
-                        self.opts.queue,
-                    )
-                }
+            let config = SweepConfig {
+                lanes,
+                jobs: self.opts.jobs,
+                queue: self.opts.queue,
             };
+            let sweep =
+                |pl: &PlNetlist| pl_sim::sweep_streams(pl, &self.opts.delays, &subs, config);
             let reassemble = |outs: &[pl_sim::StreamOutcome]| -> Vec<Vec<bool>> {
                 (0..inputs.len())
                     .map(|i| outs[i % 64].outputs[i / 64].clone())
@@ -920,130 +920,104 @@ impl Pipeline {
                 },
             });
         }
-        if let Some(window) = self.opts.window {
-            // Streamed protocol: parallelism lives INSIDE each stream, so
-            // the variants run back to back, each pipelined over `jobs`.
-            let (mut stream_plain, recovery_plain) =
-                self.sweep_stream(&ee.plain, &inputs, window, "plain")?;
-            let (stream_ee, recovery_ee) = match &ee.ee {
-                Some(pl) => {
-                    let (mut s, rec) = self.sweep_stream(pl, &inputs, window, "ee")?;
-                    if stream_plain.outputs != s.outputs {
-                        return Err(FlowError::Mismatch {
-                            context: format!("{} (EE vs plain, streamed)", ee.name),
-                        });
-                    }
-                    s.outputs = Vec::new();
-                    (Some(s), rec)
-                }
-                None => (None, None),
+        let variants: Vec<(&PlNetlist, &str)> = std::iter::once((&ee.plain, "plain"))
+            .chain(ee.ee.as_ref().map(|pl| (pl, "ee")))
+            .collect();
+        let results =
+            pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, &(pl, name)| {
+                self.simulate_variant(pl, &inputs, name)
+            });
+        let mut runs = Vec::with_capacity(results.len());
+        for r in results {
+            runs.push(r?);
+        }
+        let plain = runs.swap_remove(0);
+        let ee_run = runs.pop();
+        if ee_run.as_ref().is_some_and(|r| r.outputs != plain.outputs) {
+            let protocol = if self.opts.window.is_some() {
+                ", streamed"
+            } else {
+                ""
             };
-            // The output words live once, in `Simulated::outputs`; the
-            // stream outcomes carry metrics (makespan/throughput) only —
-            // the EE variant's words were just asserted identical anyway.
-            let outputs = std::mem::take(&mut stream_plain.outputs);
-            return Ok(Simulated {
-                name: ee.name.clone(),
-                inputs,
-                outputs,
-                stats_plain: LatencyStats::new(Vec::new()),
-                stats_ee: stream_ee.as_ref().map(|_| LatencyStats::new(Vec::new())),
-                stream_ee,
-                stream_plain: Some(stream_plain),
-                report: SimReport {
-                    recovery_plain,
-                    recovery_ee,
-                    secs: t0.elapsed().as_secs_f64(),
-                    ..report
-                },
+            return Err(FlowError::Mismatch {
+                context: format!("{} (EE vs plain{protocol})", ee.name),
             });
         }
-        let variants: Vec<&PlNetlist> = std::iter::once(&ee.plain).chain(ee.ee.as_ref()).collect();
-        let results = pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, pl| {
-            pl_sim::measure_latency_on_with_queue(pl, &self.opts.delays, &inputs, self.opts.queue)
-        });
-        let mut measured = Vec::with_capacity(results.len());
-        for r in results {
-            measured.push(r?);
-        }
-        let (out_plain, stats_plain) = measured.swap_remove(0);
-        let stats_ee = match measured.pop() {
-            Some((out_ee, stats)) => {
-                if out_plain != out_ee {
-                    return Err(FlowError::Mismatch {
-                        context: format!("{} (EE vs plain)", ee.name),
-                    });
-                }
-                Some(stats)
-            }
-            None => None,
+        let (stats_ee, stream_ee, recovery_ee) = match ee_run {
+            Some(r) => (Some(r.stats), r.stream, r.recovery),
+            None => (None, None, None),
         };
         Ok(Simulated {
             name: ee.name.clone(),
             inputs,
-            outputs: out_plain,
-            stats_plain,
+            outputs: plain.outputs,
+            stats_plain: plain.stats,
             stats_ee,
-            stream_plain: None,
-            stream_ee: None,
+            stream_plain: plain.stream,
+            stream_ee,
             report: SimReport {
+                recovery_plain: plain.recovery,
+                recovery_ee,
                 secs: t0.elapsed().as_secs_f64(),
                 ..report
             },
         })
     }
 
-    /// Runs one variant's vector stream through the streamed protocol:
-    /// the crash-resumable sweep (under `checkpoint_dir/<variant>`) when
-    /// a checkpoint directory is configured, the in-memory pipelined
-    /// sweep otherwise. Both are bit-identical to a sequential
-    /// `run_stream`; only the resumable path yields a recovery trail.
-    fn sweep_stream(
+    /// Simulates one variant under the per-vector protocol, or under the
+    /// streamed protocol when [`FlowOptions::window`] is set: the
+    /// crash-resumable sweep (under `checkpoint_dir/<variant>`) when a
+    /// checkpoint directory is configured, a plain `run_stream`
+    /// otherwise. Both streamed paths give the same outcome; only the
+    /// resumable one yields a recovery trail.
+    fn simulate_variant(
         &self,
         pl: &PlNetlist,
         inputs: &[Vec<bool>],
-        window: usize,
         variant: &str,
-    ) -> Result<(pl_sim::StreamOutcome, Option<SweepRecovery>), FlowError> {
-        match &self.opts.checkpoint_dir {
+    ) -> Result<VariantRun, FlowError> {
+        let opts = &self.opts;
+        let Some(window) = opts.window else {
+            let (outputs, stats) =
+                pl_sim::measure_latency_on(pl, &opts.delays, inputs, opts.queue)?;
+            return Ok(VariantRun {
+                outputs,
+                stats,
+                stream: None,
+                recovery: None,
+            });
+        };
+        let (mut stream, recovery) = match &opts.checkpoint_dir {
+            None => {
+                let mut sim = PlSimulator::with_queue(pl, opts.delays.clone(), opts.queue)?;
+                (sim.run_stream(inputs)?, None)
+            }
             Some(dir) => {
                 let vdir = dir.join(variant);
                 // A kill can land before this variant's sweep durably
                 // started (its `sweep.meta` is written atomically, so it
                 // is absent-or-valid): resume what is there, start fresh
-                // what never began. A present-but-corrupt meta still
-                // fails typed inside the sweep.
-                let resume = self.opts.resume && vdir.join("sweep.meta").exists();
-                let out = pl_sim::sweep_resumable(
-                    pl,
-                    &self.opts.delays,
-                    inputs,
-                    &vdir,
-                    &ResumableOptions {
-                        window,
-                        jobs: self.opts.jobs,
-                        queue: self.opts.queue,
-                        resume,
-                        max_retries: self
-                            .opts
-                            .max_retries
-                            .unwrap_or(ResumableOptions::default().max_retries),
-                    },
-                )?;
-                Ok((out.outcome, Some(out.recovery)))
-            }
-            None => {
-                let s = pl_sim::parallel::sweep_pipelined_with_queue(
-                    pl,
-                    &self.opts.delays,
-                    inputs,
+                // what never began. A present-but-corrupt meta still fails
+                // typed inside the sweep.
+                let resume = opts.resume && vdir.join("sweep.meta").exists();
+                let ropts = ResumableOptions {
                     window,
-                    self.opts.jobs,
-                    self.opts.queue,
-                )?;
-                Ok((s, None))
+                    queue: opts.queue,
+                    resume,
+                    ..ResumableOptions::default()
+                };
+                let out = pl_sim::sweep_resumable(pl, &opts.delays, inputs, &vdir, &ropts)?;
+                (out.outcome, Some(out.recovery))
             }
-        }
+        };
+        // The output words live once, in `Simulated::outputs`; the stream
+        // outcome carries metrics (makespan/throughput) only.
+        Ok(VariantRun {
+            outputs: std::mem::take(&mut stream.outputs),
+            stats: LatencyStats::new(Vec::new()),
+            stream: Some(stream),
+            recovery,
+        })
     }
 
     /// **Stage 7 — verify**: replays the simulate stage's exact input

@@ -15,10 +15,10 @@
 //! a simulator restored from a checkpoint and driven with the remaining
 //! vectors produces **bit-identical** outcomes (output words, record
 //! timestamps, latencies) to the uninterrupted run, and taking a snapshot
-//! never perturbs the snapshotted simulator. This is the state-handoff
-//! primitive behind [`crate::parallel::sweep_pipelined`], where a leader
-//! pass emits window-boundary checkpoints and workers replay the windows
-//! in full behind it.
+//! never perturbs the snapshotted simulator. This is the restart point
+//! behind [`crate::sweep_resumable`], which writes one checkpoint at
+//! every window boundary of a long stream; a killed run resumes from the
+//! latest one.
 //!
 //! Checkpoints are **queue-kind-portable**: the in-flight event queue is
 //! canonicalized to a sorted `(tick, seq)` event list regardless of the
@@ -90,9 +90,8 @@ impl Default for Fnv64 {
 /// the slot-indexed state (record queues, pending inputs) bound to the
 /// right gates even for a builder whose port order could diverge from
 /// gate-creation order (arc topology alone would not see that). Computed
-/// once per simulator ([`PlSimulator::new`]) and carried, so
-/// snapshot/restore on the pipelined sweep's per-window hot path never
-/// re-walk the netlist.
+/// once per simulator ([`PlSimulator::new`]) and carried, so the
+/// resumable sweep's per-window snapshots never re-walk the netlist.
 pub(crate) fn netlist_fingerprint(pl: &PlNetlist) -> u64 {
     let mut h = Fnv64::new();
     h.mix(pl.gates().len() as u64);
@@ -265,12 +264,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         self.flags.clone_from(&ck.flags);
         self.gen.clone_from(&ck.gen);
         self.records.clone_from(&ck.records);
-        // Leader-diet bookkeeping is not checkpoint state (the counts are
-        // folded into the window base offsets before every snapshot); a
-        // restored simulator starts its own tally.
-        self.records_skipped.iter_mut().for_each(|s| *s = 0);
-        self.fired_rounds.iter_mut().for_each(|s| *s = 0);
-        self.record_horizon = 0;
         if let Some(trace) = &mut self.trace {
             trace.clear();
         }
@@ -279,9 +272,9 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
 
     /// Builds a fresh simulator over `pl` and restores `ck` into it — the
     /// one-call resume path. For restoring many checkpoints against the
-    /// same netlist (the pipelined sweep's workers), build one simulator
-    /// with [`PlSimulator::new`] and call [`PlSimulator::restore`] per
-    /// checkpoint instead: that reuses the frozen adjacency.
+    /// same netlist, build one simulator with [`PlSimulator::new`] and
+    /// call [`PlSimulator::restore`] per checkpoint instead: that reuses
+    /// the frozen adjacency.
     ///
     /// # Errors
     ///

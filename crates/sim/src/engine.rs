@@ -211,25 +211,6 @@ pub struct LaneSimulator<'a, L: LaneWord = bool> {
     pub(crate) records: Vec<VecDeque<(L, u64)>>,
     pub(crate) rounds: u64,
     pub(crate) trace: Option<Vec<crate::trace::TraceEvent>>,
-    /// The pipelined sweep's leader diet: an output firing whose round
-    /// index is below this horizon (and whose record queue holds no
-    /// later round) is counted into `records_skipped` instead of being
-    /// pushed onto `records` — record queues are write-only to the event
-    /// schedule, so this changes memory traffic, never simulation
-    /// results. `0` (the default) records everything. Leader-local
-    /// bookkeeping: deliberately NOT part of [`crate::SimCheckpoint`]
-    /// (the skip counts are folded into the window `base` offsets by
-    /// [`PlSimulator::prune_records`] before every snapshot).
-    pub(crate) record_horizon: usize,
-    /// Per-output count of rounds skipped under the `record_horizon`
-    /// diet, pending their fold into a pruning `base`.
-    pub(crate) records_skipped: Vec<usize>,
-    /// Per-output count of rounds recorded *or* skipped since
-    /// construction — each output's next absolute round index, which the
-    /// `record_horizon` diet compares against. Only the never-restored
-    /// diet leader reads it (reset alongside the skip counts on
-    /// restore).
-    pub(crate) fired_rounds: Vec<usize>,
 }
 
 /// The scalar (1-lane) simulator — the engine every existing caller uses,
@@ -293,9 +274,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             records: vec![VecDeque::new(); pl.output_gates().len()],
             rounds: 0,
             trace: None,
-            record_horizon: 0,
-            records_skipped: vec![0; pl.output_gates().len()],
-            fired_rounds: vec![0; pl.output_gates().len()],
             adj,
         };
         // Derive the incremental readiness state from the initial marking.
@@ -360,41 +338,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         self.events
     }
 
-    /// Raises the record-skip horizon — the advance-only leader pass of
-    /// [`crate::parallel::sweep_pipelined`] sets it to the end of the
-    /// window just dispatched before feeding that window's vectors, so
-    /// output words for already-dispatched rounds are counted (per
-    /// output) instead of stored and the leader's memory and per-round
-    /// work stop scaling with window contents. The horizon compares
-    /// against each output's absolute round index, so an output that
-    /// *outruns* the fed vectors (one whose data cone contains no
-    /// primary input — a free-running DFF ring — can fire for rounds the
-    /// environment has not paced yet) keeps its beyond-horizon records;
-    /// skips therefore always form a contiguous prefix of dispatched
-    /// rounds, which is what lets [`PlSimulator::prune_records`] fold
-    /// the counts into the window `base` exactly. The collection entry
-    /// points ([`PlSimulator::run_vector`] / [`PlSimulator::run_stream`]
-    /// / window replay) require the horizon to be 0.
-    pub(crate) fn set_record_horizon(&mut self, horizon: usize) {
-        debug_assert!(horizon >= self.record_horizon, "horizon only advances");
-        self.record_horizon = horizon;
-    }
-
-    /// Routes one output firing to the record queue, or counts it as
-    /// skipped under the `record_horizon` diet. Skipping requires an
-    /// empty queue so skipped rounds never interleave behind kept ones
-    /// (an outrun record beyond the horizon blocks skipping until a
-    /// prune pops it).
-    fn record_output(&mut self, slot: usize, value: L) {
-        let round = self.fired_rounds[slot];
-        self.fired_rounds[slot] += 1;
-        if round < self.record_horizon && self.records[slot].is_empty() {
-            self.records_skipped[slot] += 1;
-        } else {
-            self.records[slot].push_back((value, self.now));
-        }
-    }
-
     /// Starts recording token deliveries for [`crate::trace::to_vcd`].
     /// In a batch simulator only lane 0 is traced.
     pub fn enable_tracing(&mut self) {
@@ -443,7 +386,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         inputs: &[L],
         out: &mut Vec<L>,
     ) -> Result<(f64, f64), SimError> {
-        debug_assert_eq!(self.record_horizon, 0, "run_vector collects records");
         let ports = self.pl.input_gates();
         if inputs.len() != ports.len() {
             return Err(SimError::InputArityMismatch {
@@ -496,36 +438,13 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     ///
     /// Same conditions as [`PlSimulator::run_vector`].
     pub fn run_stream(&mut self, vectors: &[Vec<L>]) -> Result<StreamOutcome<L>, SimError> {
-        debug_assert_eq!(self.record_horizon, 0, "run_stream collects records");
         let start = self.now;
-        let mut completed = 0usize;
         for v in vectors {
             self.feed_vector(v)?;
         }
         // Run to completion of every vector's output word.
         let mut outputs = Vec::with_capacity(vectors.len());
-        let mut last = start;
-        while completed < vectors.len() {
-            while !self.round_complete() {
-                let Some((key, kind)) = self.queue.pop() else {
-                    return Err(SimError::Deadlock {
-                        at_time: self.time(),
-                        missing_outputs: self.missing_outputs(),
-                    });
-                };
-                self.now = crate::queue::tick_of(key);
-                self.dispatch(kind)?;
-            }
-            let mut word = Vec::with_capacity(self.records.len());
-            for q in &mut self.records {
-                let (v, t) = q.pop_front().expect("round complete");
-                word.push(v);
-                last = last.max(t);
-            }
-            outputs.push(word);
-            completed += 1;
-            self.rounds += 1;
-        }
+        let last = self.collect_rounds(vectors.len(), &mut outputs)?.max(start);
         let makespan = ticks_to_ns(last - start);
         Ok(StreamOutcome {
             outputs,
@@ -543,9 +462,8 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// vector, and returns **without waiting for any output word** — exactly
     /// one injection step of [`PlSimulator::run_stream`]. Output words
     /// accumulate in the per-output record queues and are collected by
-    /// `run_stream`'s completion loop (or by the window-replay machinery of
-    /// [`crate::parallel::sweep_pipelined`]). This is the cheap
-    /// state-advancing primitive the pipelined sweep's leader pass runs.
+    /// `run_stream`'s completion loop (or window by window by
+    /// [`crate::sweep_resumable`]).
     ///
     /// # Errors
     ///
@@ -568,89 +486,51 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         Ok(())
     }
 
-    /// Drops recorded output words for rounds below `upto_round` from the
-    /// front of each record queue, adding the per-queue drop counts to
-    /// `base` (queue `o`'s entries are rounds `[base[o], base[o] +
-    /// records[o].len())`). Records are write-only to the simulation
-    /// itself — nothing in event dispatch ever reads them — so pruning
-    /// never changes the event schedule, only the queue indexing, which
-    /// callers must offset by `base`. This is what keeps the pipelined
-    /// sweep's leader (and hence its checkpoints) at O(in-flight rounds)
-    /// memory instead of O(stream).
-    pub(crate) fn prune_records(&mut self, upto_round: usize, base: &mut [usize]) {
-        debug_assert_eq!(base.len(), self.records.len());
-        // Rounds skipped under the leader diet (`set_record_horizon`)
-        // were "pruned" the moment they were produced; fold their counts
-        // into the base first. A round is only ever skipped below the
-        // horizon, and the sweep prunes exactly at the previous horizon,
-        // so this never advances the base past `upto_round`.
-        for (skip, b) in self.records_skipped.iter_mut().zip(base.iter_mut()) {
-            *b += std::mem::take(skip);
-            debug_assert!(*b <= upto_round, "skipped a round past the boundary");
-        }
-        for (q, b) in self.records.iter_mut().zip(base.iter_mut()) {
-            while *b < upto_round && q.pop_front().is_some() {
-                *b += 1;
-            }
-        }
-    }
-
-    /// Replays one window of a pipelined stream: feeds `vecs`, runs until
-    /// every output's record queue covers rounds `[base[o], start_round +
-    /// vecs.len())`, and returns the output words of rounds `[start_round,
-    /// start_round + vecs.len())` plus the latest record tick among them.
-    ///
-    /// Precondition: the simulator state must stem from a stream driven by
-    /// [`PlSimulator::feed_vector`] alone, with record queues popped only
-    /// through [`PlSimulator::prune_records`] whose accumulated per-queue
-    /// drop counts are `base` (so queue `o`'s index for round `r` is
-    /// `r - base[o]`, and `base[o] <= start_round`). That is exactly the
-    /// state [`PlSimulator::snapshot`] captures on the pipelined sweep's
-    /// leader, which is this helper's only caller (via
-    /// [`crate::parallel::sweep_pipelined`]).
-    pub(crate) fn replay_window(
+    /// Runs events until `n` more output words are recorded, moves them
+    /// into `out` oldest first, and returns their latest record tick (0
+    /// when `n` is 0). This is the completion loop of
+    /// [`PlSimulator::run_stream`]; the resumable sweep calls it once per
+    /// window. Words already recorded are taken without dispatching an
+    /// event, and nothing in event dispatch reads the record queues, so
+    /// collecting a window early never changes the event schedule.
+    pub(crate) fn collect_rounds(
         &mut self,
-        vecs: &[Vec<L>],
-        start_round: usize,
-        base: &[usize],
-    ) -> Result<(Vec<Vec<L>>, u64), SimError> {
-        debug_assert_eq!(self.record_horizon, 0, "window replay collects records");
-        debug_assert_eq!(base.len(), self.records.len());
-        debug_assert!(base.iter().all(|&b| b <= start_round));
-        for v in vecs {
-            self.feed_vector(v)?;
-        }
-        let target = start_round + vecs.len();
-        let incomplete = |(q, &b): (&VecDeque<(L, u64)>, &usize)| b + q.len() < target;
-        while self.records.iter().zip(base).any(incomplete) {
-            let Some((key, kind)) = self.queue.pop() else {
-                return Err(SimError::Deadlock {
-                    at_time: self.time(),
-                    missing_outputs: self
-                        .pl
-                        .output_gates()
-                        .iter()
-                        .zip(self.records.iter().zip(base))
-                        .filter(|(_, pair)| incomplete(*pair))
-                        .map(|((name, _), _)| name.clone())
-                        .collect(),
-                });
-            };
-            self.now = crate::queue::tick_of(key);
-            self.dispatch(kind)?;
-        }
-        let mut words = Vec::with_capacity(vecs.len());
-        let mut last = 0u64;
-        for round in start_round..target {
+        n: usize,
+        out: &mut Vec<Vec<L>>,
+    ) -> Result<u64, SimError> {
+        let mut last = 0;
+        for _ in 0..n {
+            while !self.round_complete() {
+                let Some((key, kind)) = self.queue.pop() else {
+                    return Err(SimError::Deadlock {
+                        at_time: self.time(),
+                        missing_outputs: self.missing_outputs(),
+                    });
+                };
+                self.now = crate::queue::tick_of(key);
+                self.dispatch(kind)?;
+            }
             let mut word = Vec::with_capacity(self.records.len());
-            for (q, &b) in self.records.iter().zip(base) {
-                let (v, t) = q[round - b];
+            for q in &mut self.records {
+                let (v, t) = q.pop_front().expect("round complete");
                 word.push(v);
                 last = last.max(t);
             }
-            words.push(word);
+            out.push(word);
+            self.rounds += 1;
         }
-        Ok((words, last))
+        Ok(last)
+    }
+
+    /// Rounds whose output words are all recorded but not yet collected:
+    /// the shortest record queue's length (`usize::MAX` for a netlist
+    /// without outputs, whose rounds are always complete).
+    pub(crate) fn recorded_rounds(&self) -> usize {
+        self.records
+            .iter()
+            .map(VecDeque::len)
+            .min()
+            .unwrap_or(usize::MAX)
     }
 
     /// Outputs tied to constants have no token traffic; record their value
@@ -660,7 +540,7 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             let gate = &self.pl.gates()[og.index()];
             if gate.data_in().is_empty() {
                 if let Some(v) = gate.const_pin(0) {
-                    self.record_output(slot, L::splat(v));
+                    self.records[slot].push_back((L::splat(v), self.now));
                 }
             }
         }
@@ -950,7 +830,7 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
                 self.consume_data(g);
                 let slot = self.adj.output_slot(g);
                 debug_assert_ne!(slot, NO_ARC, "output gate is registered");
-                self.record_output(slot as usize, v);
+                self.records[slot as usize].push_back((v, self.now));
                 self.produce(g, v, true, true);
             }
             GateClass::Logic => {

@@ -31,20 +31,20 @@
 //!   semantics differentially (`tests/engine_equivalence.rs`) and anchors
 //!   the speedup numbers in `BENCH_sim.json`.
 //! * [`parallel`] scatter/gathers multi-vector sweeps across worker
-//!   threads — independent streams ([`sweep_streams`]), reset-per-shard
-//!   single streams ([`sweep_sharded`]), and the checkpoint-handoff
-//!   pipelined single stream ([`sweep_pipelined`]). Outcomes merge
+//!   threads — independent streams ([`sweep_streams`]) and reset-per-shard
+//!   single streams ([`sweep_sharded`]), both configured by one
+//!   [`SweepConfig`] (lane width, workers, queue backend). Outcomes merge
 //!   deterministically in stream/vector order (bit-identical to the
-//!   sequential run for any worker count and window size).
-//!   [`sweep_resumable`] is the pipelined sweep made crash-resumable:
+//!   sequential run for any worker count). [`sweep_resumable`] runs one
+//!   long stream as a single continuous pass made crash-resumable:
 //!   window-boundary checkpoints ([`checkpoint::wire`]) plus a
-//!   completed-window journal on disk, kill/resume recovery, bounded
-//!   worker retry, and in-process degradation — still bit-identical.
+//!   completed-window journal on disk, and kill/resume recovery — still
+//!   bit-identical to [`PlSimulator::run_stream`].
 //! * [`SimCheckpoint`] captures a simulator's complete dynamic state
 //!   between vectors ([`PlSimulator::snapshot`]); a simulator resumed from
 //!   it ([`PlSimulator::resume_from`] / [`PlSimulator::restore`]) is
-//!   bit-identical to the uninterrupted run — the state-handoff primitive
-//!   behind the pipelined sweep.
+//!   bit-identical to the uninterrupted run — the restart point behind
+//!   the resumable sweep.
 //! * [`SyncSimulator`] is the cycle-accurate synchronous reference; the
 //!   [`verify_equivalence`] helper proves that PL mapping and early
 //!   evaluation change *timing only*, never values.
@@ -64,8 +64,8 @@
 //! per-lane; see [`lane`] and the engine module docs for the invariants.
 //! [`BatchSimulator::run_lanes`] packs up to 64 scalar streams, runs them
 //! in lockstep, and unpacks per-lane outcomes that are bit-identical,
-//! vector for vector, to 64 sequential scalar runs. Batch sweeps
-//! ([`sweep_streams_batch`], [`sweep_sharded_batch`]) scatter whole
+//! vector for vector, to 64 sequential scalar runs. The sweeps run at
+//! this width with [`SweepConfig::lanes`] set to 64, scattering whole
 //! 64-stream blocks across workers.
 //!
 //! # Example
@@ -109,16 +109,10 @@ pub use engine::{BatchSimulator, LaneSimulator, PlSimulator, StreamOutcome, Vect
 pub use error::SimError;
 pub use lane::{pack_lanes, LaneWord};
 pub use parallel::{
-    scatter_gather, sweep_pipelined, sweep_pipelined_with_queue, sweep_resumable,
-    sweep_resumable_with_faults, sweep_sharded, sweep_sharded_batch,
-    sweep_sharded_batch_with_queue, sweep_sharded_with_queue, sweep_streams, sweep_streams_batch,
-    sweep_streams_batch_with_queue, sweep_streams_with_queue, FaultPlan, ResumableOptions,
-    ResumableOutcome, SweepRecovery, WindowFailure,
+    scatter_gather, sweep_resumable, sweep_resumable_with_faults, sweep_sharded, sweep_streams,
+    FaultPlan, ResumableOptions, ResumableOutcome, SweepConfig, SweepRecovery,
 };
 pub use queue::{EventQueue, QueueKind};
 pub use reference::ReferenceSimulator;
-pub use stats::{
-    measure_latency, measure_latency_on, measure_latency_on_with_queue, random_vectors,
-    LatencyStats,
-};
+pub use stats::{measure_latency, measure_latency_on, random_vectors, LatencyStats};
 pub use sync::{verify_equivalence, Mismatch, SyncSimulator};

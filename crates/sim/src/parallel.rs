@@ -6,76 +6,53 @@
 //! parallel discrete-event speedup. This module vendors a small
 //! work-queue pool built from `std::thread::scope` plus an `mpsc` gather
 //! channel — no external dependencies — and exposes two sweep shapes on
-//! top of it:
+//! top of it, both configured by one [`SweepConfig`] (engine lane width,
+//! worker threads, event-queue backend):
 //!
-//! * [`sweep_streams`] — N independent vector streams, each simulated by a
-//!   **private** [`PlSimulator`] over a shared `&`[`PlNetlist`] from the
-//!   initial marking. Results come back in stream order.
+//! * [`sweep_streams`] — N independent vector streams, each simulated from
+//!   the initial marking over a shared `&`[`PlNetlist`]. At `lanes: 1`
+//!   every stream runs on a **private** [`PlSimulator`]; at `lanes: 64`
+//!   the streams are packed 64 to a block and each block is marched
+//!   through one [`BatchSimulator`] event flow with `u64` lane words, so
+//!   the unit of parallel work becomes 64 streams instead of one. Results
+//!   come back in stream order.
 //! * [`sweep_sharded`] — ONE long vector stream split into fixed-size
-//!   shards. Shard boundaries depend only on the stream length and
-//!   `shard_len` — never on the worker count — so the merged
-//!   [`StreamOutcome`] is **bit-identical for every `jobs` value**,
-//!   including the `jobs = 1` sequential run. With `shard_len >=
-//!   vectors.len()` there is exactly one shard and the result equals a
-//!   plain [`PlSimulator::run_stream`] call. Each shard restarts from the
-//!   initial marking, so for stateful designs a shard boundary is a reset
-//!   (independent experiments, not one long run).
-//! * [`sweep_pipelined`] — ONE long vector stream as **one continuous
-//!   pipelined run**, parallelized *without* resets: a leader pass
-//!   advances the simulator state cheaply through the stream (injections
-//!   only — no output collection, no latency/trace bookkeeping, and no
-//!   record-queue bookkeeping at all: the leader runs with recording
-//!   switched off and folds the skipped-round counts into the window
-//!   `base` offsets), emitting a [`crate::SimCheckpoint`] at every
-//!   `window`-vector boundary, while worker threads replay each window in
-//!   full behind it. Window results merge vector-index-ordered into a
-//!   [`StreamOutcome`] that is **bit-identical to a sequential
-//!   [`PlSimulator::run_stream`] call** for every `(jobs, window)`
-//!   combination.
-//! * [`sweep_resumable`] ([`resume`]) — the pipelined single stream made
-//!   crash-resumable: window-boundary checkpoints and a completed-window
-//!   journal persist to a directory (atomic write-tmp-then-rename), a
-//!   killed run resumes by replaying only unfinished windows, corrupt
-//!   checkpoint files are detected (typed [`SimError`]) and routed
-//!   around, and a failed or panicked worker's window is retried up to a
-//!   bounded budget before degrading to in-process execution — all while
-//!   staying bit-identical to [`PlSimulator::run_stream`].
+//!   shards and swept with [`sweep_streams`]. Shard boundaries depend only
+//!   on the stream length and `shard_len` — never on the worker count — so
+//!   the merged [`StreamOutcome`] is **bit-identical for every `jobs`
+//!   value**, including the `jobs = 1` sequential run. With `shard_len >=
+//!   vectors.len()` there is exactly one shard and the scalar result
+//!   equals a plain [`PlSimulator::run_stream`] call. Each shard restarts
+//!   from the initial marking, so for stateful designs a shard boundary
+//!   is a reset (independent experiments, not one long run).
+//! * [`sweep_resumable`] ([`resume`]) — ONE long vector stream as one
+//!   continuous run made crash-resumable, bit-identical to
+//!   [`PlSimulator::run_stream`]. It is one sequential pass on the calling
+//!   thread, with memory and checkpoint size O(in-flight rounds). A
+//!   continuous stream has no parallelism of its own: every window depends
+//!   on the state the previous one left, and merely advancing that state
+//!   costs as much as simulating it.
 //!
-//! The independent-stream shapes also come in **batch** variants
-//! ([`sweep_streams_batch`], [`sweep_sharded_batch`]) that scatter whole
-//! 64-stream blocks, each block marched through a single
-//! [`BatchSimulator`] event flow with `u64` lane words — the unit of
-//! parallel work becomes 64 vectors instead of one, multiplying the
-//! throughput of both levels (threads × lanes) while staying
-//! bit-identical to the scalar sweeps.
-//!
-//! Every sweep shape also has a `_with_queue` variant
-//! ([`sweep_streams_with_queue`], [`sweep_sharded_with_queue`],
-//! [`sweep_pipelined_with_queue`]) selecting the event-queue backend
-//! ([`crate::queue::QueueKind`]) of every simulator involved — a pure
-//! cost-profile choice, results are backend-invariant.
+//! The lane width and the event-queue backend
+//! ([`crate::queue::QueueKind`]) never change output words, only the cost
+//! profile; the lane width does change the timing fields, which then
+//! describe a block's shared schedule (see [`crate::lane`]).
 //!
 //! Determinism is structural, not incidental: workers only *pull* work
-//! (item indices from an atomic counter, or checkpointed windows from a
-//! channel); every result is sent back tagged with its index and the
-//! gather side reorders into index order. The engine itself is
-//! single-threaded and deterministic, and — for the pipelined sweep — a
-//! window replayed from its boundary checkpoint reproduces the exact
-//! event schedule of the uninterrupted run, because later windows'
-//! injections cannot influence earlier rounds (token waves are causally
-//! ordered by the marked graph's acknowledge arcs). Identical (netlist,
-//! delays, vectors, shard_len/window) inputs give identical outputs
-//! regardless of scheduling. `tests/engine_equivalence.rs` pins all three
-//! shapes at 1/2/4/8 workers across the ITC'99 suite and randomized
+//! (item indices from an atomic counter); every result is sent back
+//! tagged with its index and the gather side reorders into index order.
+//! The engine itself is single-threaded and deterministic, so identical
+//! (netlist, delays, vectors, shard_len, config) inputs give identical
+//! outputs regardless of scheduling. `tests/engine_equivalence.rs` pins
+//! every shape at 1/2/4/8 workers across the ITC'99 suite and randomized
 //! netlists.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 use pl_core::PlNetlist;
 
-use crate::checkpoint::SimCheckpoint;
-use crate::delay::{ticks_to_ns, DelayModel};
+use crate::delay::DelayModel;
 use crate::engine::{BatchSimulator, PlSimulator, StreamOutcome};
 use crate::error::SimError;
 use crate::queue::QueueKind;
@@ -84,8 +61,33 @@ pub mod resume;
 
 pub use resume::{
     sweep_resumable, sweep_resumable_with_faults, FaultPlan, ResumableOptions, ResumableOutcome,
-    SweepRecovery, WindowFailure,
+    SweepRecovery,
 };
+
+/// How a sweep runs: the engine's lane width, the worker threads, and
+/// the event-queue backend. None of the three changes an output word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepConfig {
+    /// Engine width: `1` runs every stream on its own scalar
+    /// [`PlSimulator`]; `64` packs the streams 64 to a
+    /// [`BatchSimulator`] block. No other width exists.
+    pub lanes: usize,
+    /// Worker threads; `0` asks the OS ([`effective_jobs`]).
+    pub jobs: usize,
+    /// Event-queue backend of every simulator the sweep builds.
+    pub queue: QueueKind,
+}
+
+impl Default for SweepConfig {
+    /// Scalar engines, one worker, the default queue.
+    fn default() -> Self {
+        Self {
+            lanes: 1,
+            jobs: 1,
+            queue: QueueKind::default(),
+        }
+    }
+}
 
 /// Resolves a `--jobs`-style request into a concrete worker count:
 /// `0` means "ask the OS" ([`std::thread::available_parallelism`]), and
@@ -164,103 +166,88 @@ where
     })
 }
 
-/// Simulates each independent vector stream on a private simulator (fresh
-/// initial marking) over the shared netlist, using up to `jobs` workers
-/// (`0` = auto). Outcomes are returned in stream order and are
-/// bit-identical to running the same streams sequentially through
-/// [`PlSimulator::run_stream`], for any worker count.
+/// Simulates each independent vector stream from the initial marking
+/// over the shared netlist, on up to `config.jobs` workers, at
+/// `config.lanes` lanes (see [`SweepConfig`]). Outcomes come back in
+/// stream order. Their output words are bit-identical to running the
+/// same streams one by one through [`PlSimulator::run_stream`], for any
+/// worker count and lane width; at `lanes: 1` the whole outcome is,
+/// timing included. At `lanes: 64` the timing fields describe the shared
+/// schedule of the stream's 64-stream block
+/// ([`BatchSimulator::run_lanes`]).
 ///
 /// # Errors
 ///
-/// Propagates the first failing stream's error, by stream index (so the
-/// reported error is deterministic even when several streams fail).
+/// Propagates the first failing stream's error — by stream index at
+/// `lanes: 1`, by block index at `lanes: 64` — so the reported error is
+/// deterministic even when several streams fail.
+///
+/// # Panics
+///
+/// Panics if `config.lanes` is neither 1 nor 64.
 pub fn sweep_streams<S>(
     pl: &PlNetlist,
     delays: &DelayModel,
     streams: &[S],
-    jobs: usize,
+    config: SweepConfig,
 ) -> Result<Vec<StreamOutcome>, SimError>
 where
     S: AsRef<[Vec<bool>]> + Sync,
 {
-    sweep_streams_with_queue(pl, delays, streams, jobs, QueueKind::default())
-}
-
-/// [`sweep_streams`] with an explicit event-queue backend for the worker
-/// simulators. The backend never changes results (see [`crate::queue`]),
-/// only the queue-operation cost profile.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_streams`].
-pub fn sweep_streams_with_queue<S>(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    streams: &[S],
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<Vec<StreamOutcome>, SimError>
-where
-    S: AsRef<[Vec<bool>]> + Sync,
-{
-    scatter_gather(jobs, streams, |_, stream| {
-        PlSimulator::with_queue(pl, delays.clone(), queue)?.run_stream(stream.as_ref())
-    })
-    .into_iter()
-    .collect()
+    match config.lanes {
+        1 => scatter_gather(config.jobs, streams, |_, stream| {
+            PlSimulator::with_queue(pl, delays.clone(), config.queue)?.run_stream(stream.as_ref())
+        })
+        .into_iter()
+        .collect(),
+        64 => {
+            let blocks: Vec<&[S]> = streams.chunks(64).collect();
+            let per_block = scatter_gather(config.jobs, &blocks, |_, block| {
+                let lanes: Vec<&[Vec<bool>]> = block.iter().map(AsRef::as_ref).collect();
+                BatchSimulator::with_queue(pl, delays.clone(), config.queue)?.run_lanes(&lanes)
+            });
+            let mut outcomes = Vec::with_capacity(streams.len());
+            for block in per_block {
+                outcomes.extend(block?);
+            }
+            Ok(outcomes)
+        }
+        lanes => panic!("a sweep runs at 1 or 64 lanes, not {lanes}"),
+    }
 }
 
 /// Splits one vector stream into `shard_len`-sized shards (the last may
-/// be short), sweeps them with [`sweep_streams`], and merges the shard
-/// outcomes vector-index-ordered into one [`StreamOutcome`].
+/// be short), sweeps them with [`sweep_streams`] under `config`, and
+/// merges the shard outcomes vector-index-ordered into one
+/// [`StreamOutcome`].
 ///
 /// Each shard starts from the netlist's initial marking, so for stateful
 /// designs a shard boundary is a reset — this is the *sweep* semantics
-/// (independent experiments), not one long pipelined run. The merged
+/// (independent experiments), not one long continuous run. The merged
 /// outcome is a pure function of the per-shard outcomes: `outputs` are
 /// concatenated in vector order, `makespan` is the slowest shard (the
 /// critical path of a fully parallel schedule), and `throughput` counts
 /// all vectors against that makespan. `jobs` therefore never changes the
-/// result, only the wall-clock time.
+/// result, only the wall-clock time, and the output words are the same
+/// at either lane width.
 ///
 /// # Errors
 ///
-/// Propagates the first failing shard's error, by shard index.
+/// Propagates the first failing shard's error, as [`sweep_streams`] does.
 ///
 /// # Panics
 ///
-/// Panics if `shard_len` is zero.
+/// Panics if `shard_len` is zero or `config.lanes` is neither 1 nor 64.
 pub fn sweep_sharded(
     pl: &PlNetlist,
     delays: &DelayModel,
     vectors: &[Vec<bool>],
     shard_len: usize,
-    jobs: usize,
-) -> Result<StreamOutcome, SimError> {
-    sweep_sharded_with_queue(pl, delays, vectors, shard_len, jobs, QueueKind::default())
-}
-
-/// [`sweep_sharded`] with an explicit event-queue backend for the worker
-/// simulators (results are backend-invariant).
-///
-/// # Errors
-///
-/// Propagates the first failing shard's error, by shard index.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero.
-pub fn sweep_sharded_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    jobs: usize,
-    queue: QueueKind,
+    config: SweepConfig,
 ) -> Result<StreamOutcome, SimError> {
     assert!(shard_len > 0, "shard_len must be at least 1");
     let shards: Vec<&[Vec<bool>]> = vectors.chunks(shard_len).collect();
-    let outcomes = sweep_streams_with_queue(pl, delays, &shards, jobs, queue)?;
+    let outcomes = sweep_streams(pl, delays, &shards, config)?;
     let mut merged = StreamOutcome {
         outputs: Vec::with_capacity(vectors.len()),
         makespan: 0.0,
@@ -274,325 +261,27 @@ pub fn sweep_sharded_with_queue(
         merged.throughput = merged.outputs.len() as f64 / merged.makespan;
     }
     Ok(merged)
-}
-
-/// [`sweep_streams`] over the 64-lane batch engine: streams are packed
-/// into blocks of up to 64, each block marched through one
-/// [`BatchSimulator`] event flow ([`BatchSimulator::run_lanes`]), and the
-/// blocks scattered across up to `jobs` workers. Per-stream outcomes come
-/// back in stream order and are bit-identical, vector for vector, to
-/// [`sweep_streams`] over the same streams (the lane dimension never
-/// changes values — see [`crate::lane`]).
-///
-/// # Errors
-///
-/// Propagates the first failing block's error, by block index.
-pub fn sweep_streams_batch<S>(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    streams: &[S],
-    jobs: usize,
-) -> Result<Vec<StreamOutcome>, SimError>
-where
-    S: AsRef<[Vec<bool>]> + Sync,
-{
-    sweep_streams_batch_with_queue(pl, delays, streams, jobs, QueueKind::default())
-}
-
-/// [`sweep_streams_batch`] with an explicit event-queue backend for the
-/// block simulators (results are backend-invariant).
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_streams_batch`].
-pub fn sweep_streams_batch_with_queue<S>(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    streams: &[S],
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<Vec<StreamOutcome>, SimError>
-where
-    S: AsRef<[Vec<bool>]> + Sync,
-{
-    let blocks: Vec<&[S]> = streams.chunks(64).collect();
-    let per_block = scatter_gather(jobs, &blocks, |_, block| {
-        let lanes: Vec<&[Vec<bool>]> = block.iter().map(AsRef::as_ref).collect();
-        BatchSimulator::with_queue(pl, delays.clone(), queue)?.run_lanes(&lanes)
-    });
-    let mut outcomes = Vec::with_capacity(streams.len());
-    for block in per_block {
-        outcomes.extend(block?);
-    }
-    Ok(outcomes)
-}
-
-/// [`sweep_sharded`] over the 64-lane batch engine: one long vector
-/// stream split into `shard_len`-sized shards, the shards marched 64 at
-/// a time through [`BatchSimulator::run_lanes`], and the shard outcomes
-/// merged vector-index-ordered exactly like [`sweep_sharded`] (outputs
-/// concatenated, makespan = slowest shard). Shard boundaries depend only
-/// on the stream length and `shard_len`, so the merged outcome is
-/// bit-identical to [`sweep_sharded`] for every `jobs` value.
-///
-/// # Errors
-///
-/// Propagates the first failing block's error, by block index.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero.
-pub fn sweep_sharded_batch(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    jobs: usize,
-) -> Result<StreamOutcome, SimError> {
-    sweep_sharded_batch_with_queue(pl, delays, vectors, shard_len, jobs, QueueKind::default())
-}
-
-/// [`sweep_sharded_batch`] with an explicit event-queue backend for the
-/// block simulators (results are backend-invariant).
-///
-/// # Errors
-///
-/// Propagates the first failing block's error, by block index.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero.
-pub fn sweep_sharded_batch_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<StreamOutcome, SimError> {
-    assert!(shard_len > 0, "shard_len must be at least 1");
-    let shards: Vec<&[Vec<bool>]> = vectors.chunks(shard_len).collect();
-    let outcomes = sweep_streams_batch_with_queue(pl, delays, &shards, jobs, queue)?;
-    let mut merged = StreamOutcome {
-        outputs: Vec::with_capacity(vectors.len()),
-        makespan: 0.0,
-        throughput: f64::INFINITY,
-    };
-    for o in outcomes {
-        merged.outputs.extend(o.outputs);
-        merged.makespan = merged.makespan.max(o.makespan);
-    }
-    if merged.makespan > 0.0 {
-        merged.throughput = merged.outputs.len() as f64 / merged.makespan;
-    }
-    Ok(merged)
-}
-
-/// One window of work handed from the pipelined sweep's leader to a
-/// worker: the boundary checkpoint plus the vectors to replay from it.
-struct WindowTask<'v> {
-    index: usize,
-    start_round: usize,
-    /// Per-output-queue count of rounds the leader pruned from the front
-    /// of its record queues before this snapshot (queue `o`'s index for
-    /// round `r` is therefore `r - base[o]`).
-    base: Vec<usize>,
-    vectors: &'v [Vec<bool>],
-    checkpoint: SimCheckpoint,
-}
-
-/// Simulates ONE vector stream as a single continuous pipelined run —
-/// state carries across every vector, exactly like handing the whole
-/// stream to [`PlSimulator::run_stream`] — but parallelized over `jobs`
-/// workers (`0` = auto) via checkpointed `window`-vector windows.
-///
-/// A leader pass (on the calling thread) advances the simulator through
-/// the stream using only the cheap injection step
-/// ([`PlSimulator::feed_vector`]: no output collection, no latency or
-/// trace bookkeeping), taking a [`crate::SimCheckpoint`] at each window
-/// boundary and handing `(checkpoint, window)` to the worker pool through
-/// a bounded channel while it keeps advancing. Each worker restores the
-/// checkpoint into its private simulator and replays the window in full,
-/// extracting that window's output words and record timestamps. Window
-/// results are merged **vector-index-ordered**.
-///
-/// The merged [`StreamOutcome`] is **bit-identical** — output words,
-/// makespan and throughput compared exactly — to a sequential
-/// [`PlSimulator::run_stream`] call on a fresh simulator, for every
-/// `(jobs, window)` combination: a window replayed from its boundary
-/// checkpoint reproduces the uninterrupted run's event schedule because
-/// later injections cannot affect earlier rounds (waves are causally
-/// ordered by the acknowledge arcs), and every record tick is assigned
-/// causally, never by wall clock. `tests/engine_equivalence.rs` pins this
-/// across the ITC'99 suite (plain + EE) and randomized netlists.
-///
-/// With `jobs <= 1` (after resolution) or a single window, the stream
-/// runs directly through [`PlSimulator::run_stream`] on the calling
-/// thread — the same result without the leader/replay duplication.
-///
-/// # Errors
-///
-/// Propagates the first failing window's error, by window index (so the
-/// reported error is deterministic across worker counts). A leader-side
-/// failure surfaces through the window that replays the same vectors.
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn sweep_pipelined(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    window: usize,
-    jobs: usize,
-) -> Result<StreamOutcome, SimError> {
-    sweep_pipelined_with_queue(pl, delays, vectors, window, jobs, QueueKind::default())
-}
-
-/// [`sweep_pipelined`] with an explicit event-queue backend for the
-/// leader and every window-replay worker. Checkpoints are
-/// queue-kind-portable, so any backend combination would agree; using one
-/// kind throughout keeps the timing profile uniform. Results are
-/// backend-invariant.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_pipelined`].
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn sweep_pipelined_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    window: usize,
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<StreamOutcome, SimError> {
-    assert!(window > 0, "window must be at least 1");
-    let n_windows = vectors.len().div_ceil(window);
-    let jobs = effective_jobs(jobs, n_windows);
-    // Building the leader first also validates the netlist: the workers'
-    // own constructions below run the same deterministic checks and
-    // therefore cannot fail once this one succeeded.
-    let mut leader = PlSimulator::with_queue(pl, delays.clone(), queue)?;
-    if jobs <= 1 || n_windows <= 1 {
-        return leader.run_stream(vectors);
-    }
-    // Bounded task channel: the leader stays at most a few windows ahead,
-    // and it prunes already-dispatched rounds from its record queues
-    // before every snapshot, so checkpoint memory is O(jobs · in-flight
-    // rounds), not O(stream). Workers share the receiver behind a mutex
-    // (lock held only across the recv itself).
-    let (task_tx, task_rx) = mpsc::sync_channel::<WindowTask<'_>>(2 * jobs);
-    let task_rx = Mutex::new(task_rx);
-    type WindowResult = Result<(Vec<Vec<bool>>, u64), SimError>;
-    let (res_tx, res_rx) = mpsc::channel::<(usize, WindowResult)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let task_rx = &task_rx;
-            let res_tx = res_tx.clone();
-            let delays = delays.clone();
-            scope.spawn(move || {
-                let mut sim = PlSimulator::with_queue(pl, delays, queue)
-                    .expect("the leader already validated this netlist");
-                loop {
-                    let task = {
-                        // A sibling that panicked while holding the lock
-                        // poisons it; the queue itself is still intact, so
-                        // recover the guard rather than cascading the
-                        // panic into every healthy worker.
-                        let rx = task_rx
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        rx.recv()
-                    };
-                    let Ok(task) = task else { break };
-                    let result = match sim.restore(&task.checkpoint) {
-                        Ok(()) => sim.replay_window(task.vectors, task.start_round, &task.base),
-                        Err(e) => Err(e),
-                    };
-                    if res_tx.send((task.index, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-
-        // Leader pass: snapshot each boundary, hand the window off, keep
-        // advancing. A leader-side simulation error stops dispatch; the
-        // already-dispatched window replaying the same vectors reports the
-        // identical error (the engine is deterministic), so error
-        // propagation stays index-ordered.
-        let start_tick = leader.time_ticks();
-        let mut dispatched = 0usize;
-        let mut start_round = 0usize;
-        let mut base = vec![0usize; pl.output_gates().len()];
-        'feed: for (index, w) in vectors.chunks(window).enumerate() {
-            // Rounds before this window were dispatched to earlier
-            // workers; the leader (and every later snapshot) no longer
-            // needs their recorded words.
-            leader.prune_records(start_round, &mut base);
-            let checkpoint = leader.snapshot();
-            if task_tx
-                .send(WindowTask {
-                    index,
-                    start_round,
-                    base: base.clone(),
-                    vectors: w,
-                    checkpoint,
-                })
-                .is_err()
-            {
-                break;
-            }
-            dispatched += 1;
-            // Leader diet: this window is now some worker's job, so the
-            // leader need not store its output words — raise the record
-            // horizon to the window's end and only *count* firings below
-            // it (the counts fold into `base` at the next prune, keeping
-            // worker indexing, and hence results, bit-identical).
-            leader.set_record_horizon(start_round + w.len());
-            for v in w {
-                if leader.feed_vector(v).is_err() {
-                    break 'feed;
-                }
-            }
-            start_round += w.len();
-        }
-        drop(task_tx);
-
-        let mut slots: Vec<Option<WindowResult>> = (0..dispatched).map(|_| None).collect();
-        for (i, r) in res_rx {
-            slots[i] = Some(r);
-        }
-        let mut outputs = Vec::with_capacity(vectors.len());
-        let mut last = start_tick;
-        for slot in slots {
-            let (words, window_last) = slot.expect("every dispatched window reports")?;
-            outputs.extend(words);
-            last = last.max(window_last);
-        }
-        let makespan = ticks_to_ns(last - start_tick);
-        Ok(StreamOutcome {
-            outputs,
-            makespan,
-            throughput: if makespan > 0.0 {
-                vectors.len() as f64 / makespan
-            } else {
-                f64::INFINITY
-            },
-        })
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pl_netlist::Netlist;
+
+    fn scalar_config(jobs: usize) -> SweepConfig {
+        SweepConfig {
+            jobs,
+            ..SweepConfig::default()
+        }
+    }
+
+    fn batch_config(jobs: usize) -> SweepConfig {
+        SweepConfig {
+            lanes: 64,
+            jobs,
+            ..SweepConfig::default()
+        }
+    }
 
     fn xor_netlist() -> PlNetlist {
         let mut n = Netlist::new("xor");
@@ -704,129 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_sweep_is_jobs_and_window_invariant() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let vecs = vectors(17, 0xD00F);
-        let baseline = PlSimulator::new(&pl, delays.clone())
-            .unwrap()
-            .run_stream(&vecs)
-            .unwrap();
-        for window in [1, 2, 3, 5, 17, 40] {
-            for jobs in [1, 2, 4, 8] {
-                let p = sweep_pipelined(&pl, &delays, &vecs, window, jobs).unwrap();
-                assert_eq!(p, baseline, "window={window} jobs={jobs} diverged");
-            }
-        }
-    }
-
-    /// Unlike the sharded sweep, window boundaries are NOT resets: state
-    /// carries across them, so a stateful design (free-running counter)
-    /// must behave as one continuous stream.
-    #[test]
-    fn pipelined_sweep_carries_state_across_windows() {
-        let mut n = Netlist::new("cnt");
-        let q0 = n.add_dff(false);
-        let q1 = n.add_dff(false);
-        let n0 = n.add_not(q0).unwrap();
-        let t1 = n.add_xor2(q1, q0).unwrap();
-        n.set_dff_input(q0, n0).unwrap();
-        n.set_dff_input(q1, t1).unwrap();
-        n.set_output("q0", q0);
-        n.set_output("q1", q1);
-        let pl = PlNetlist::from_sync(&n).unwrap();
-        let delays = DelayModel::default();
-        let vecs: Vec<Vec<bool>> = (0..8).map(|_| Vec::new()).collect();
-        let out = sweep_pipelined(&pl, &delays, &vecs, 2, 4).unwrap();
-        let counts: Vec<u8> = out
-            .outputs
-            .iter()
-            .map(|w| (u8::from(w[1]) << 1) | u8::from(w[0]))
-            .collect();
-        assert_eq!(
-            counts,
-            vec![0, 1, 2, 3, 0, 1, 2, 3],
-            "window boundary reset the counter"
-        );
-    }
-
-    /// Leader-diet regression: the record-horizon skip must be invisible
-    /// in results even on a netlist that mixes every record source — an
-    /// input-paced output, a free-running DFF ring output (which *outruns*
-    /// the fed vectors, so its beyond-horizon records must be kept, not
-    /// skipped), and a constant-tied output (recorded at feed time, not by
-    /// a gate firing).
-    #[test]
-    fn pipelined_sweep_leader_diet_is_bit_identical() {
-        let mut n = Netlist::new("mixed");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let x = n.add_xor2(a, b).unwrap();
-        let q0 = n.add_dff(false);
-        let q1 = n.add_dff(false);
-        let n0 = n.add_not(q0).unwrap();
-        let t1 = n.add_xor2(q1, q0).unwrap();
-        n.set_dff_input(q0, n0).unwrap();
-        n.set_dff_input(q1, t1).unwrap();
-        let c = n.add_const(true);
-        n.set_output("x", x);
-        n.set_output("q1", q1);
-        n.set_output("k", c);
-        let pl = PlNetlist::from_sync(&n).unwrap();
-        let delays = DelayModel::default();
-        let vecs = vectors(23, 0xD1E7);
-        let baseline = PlSimulator::new(&pl, delays.clone())
-            .unwrap()
-            .run_stream(&vecs)
-            .unwrap();
-        for window in [1, 2, 3, 7, 23] {
-            for jobs in [2, 4, 8] {
-                let p = sweep_pipelined(&pl, &delays, &vecs, window, jobs).unwrap();
-                assert_eq!(p, baseline, "window={window} jobs={jobs} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_sweep_empty_stream_matches_run_stream() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let direct = PlSimulator::new(&pl, delays.clone())
-            .unwrap()
-            .run_stream(&[])
-            .unwrap();
-        let piped = sweep_pipelined(&pl, &delays, &[], 4, 8).unwrap();
-        assert_eq!(piped, direct);
-        assert!(piped.outputs.is_empty());
-    }
-
-    #[test]
-    fn pipelined_sweep_errors_deterministically_by_window() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        // Vector 5 (window 2 at window-size 2) is malformed; its window's
-        // arity error must win for every worker count.
-        let mut vecs = vectors(9, 0xEBB);
-        vecs[5] = vec![true];
-        for jobs in [1, 2, 4, 8] {
-            match sweep_pipelined(&pl, &delays, &vecs, 2, jobs) {
-                Err(SimError::InputArityMismatch {
-                    got: 1,
-                    expected: 2,
-                }) => {}
-                other => panic!("jobs={jobs}: expected the arity error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be at least 1")]
-    fn pipelined_sweep_rejects_zero_window() {
-        let pl = xor_netlist();
-        let _ = sweep_pipelined(&pl, &DelayModel::default(), &vectors(4, 1), 0, 2);
-    }
-
-    #[test]
     fn sweep_streams_matches_sequential_for_all_worker_counts() {
         let pl = xor_netlist();
         let delays = DelayModel::default();
@@ -842,7 +408,7 @@ mod tests {
             })
             .collect();
         for jobs in [1, 2, 4, 8] {
-            let par = sweep_streams(&pl, &delays, &streams, jobs).unwrap();
+            let par = sweep_streams(&pl, &delays, &streams, scalar_config(jobs)).unwrap();
             assert_eq!(par, sequential, "jobs={jobs} diverged");
         }
     }
@@ -852,12 +418,12 @@ mod tests {
         let pl = xor_netlist();
         let delays = DelayModel::default();
         let vecs = vectors(23, 0xBEEF);
-        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, 1).unwrap();
+        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, scalar_config(1)).unwrap();
         for jobs in [2, 4, 8] {
-            let par = sweep_sharded(&pl, &delays, &vecs, 5, jobs).unwrap();
+            let par = sweep_sharded(&pl, &delays, &vecs, 5, scalar_config(jobs)).unwrap();
             assert_eq!(par, baseline, "jobs={jobs} diverged");
         }
-        let single = sweep_sharded(&pl, &delays, &vecs, vecs.len(), 4).unwrap();
+        let single = sweep_sharded(&pl, &delays, &vecs, vecs.len(), scalar_config(4)).unwrap();
         let direct = PlSimulator::new(&pl, delays.clone())
             .unwrap()
             .run_stream(&vecs)
@@ -876,9 +442,9 @@ mod tests {
         let streams: Vec<Vec<Vec<bool>>> = (0..65)
             .map(|k| vectors(1 + k % 5, 0x1A4E + k as u64))
             .collect();
-        let scalar = sweep_streams(&pl, &delays, &streams, 1).unwrap();
+        let scalar = sweep_streams(&pl, &delays, &streams, scalar_config(1)).unwrap();
         for jobs in [1, 2, 4] {
-            let batch = sweep_streams_batch(&pl, &delays, &streams, jobs).unwrap();
+            let batch = sweep_streams(&pl, &delays, &streams, batch_config(jobs)).unwrap();
             assert_eq!(batch.len(), scalar.len());
             for (i, (b, s)) in batch.iter().zip(&scalar).enumerate() {
                 assert_eq!(b.outputs, s.outputs, "stream {i} diverged at jobs={jobs}");
@@ -891,12 +457,12 @@ mod tests {
         let pl = xor_netlist();
         let delays = DelayModel::default();
         let empty: Vec<Vec<Vec<bool>>> = Vec::new();
-        assert!(sweep_streams_batch(&pl, &delays, &empty, 4)
+        assert!(sweep_streams(&pl, &delays, &empty, batch_config(4))
             .unwrap()
             .is_empty());
         let one = vec![vectors(7, 0xF00)];
-        let batch = sweep_streams_batch(&pl, &delays, &one, 4).unwrap();
-        let scalar = sweep_streams(&pl, &delays, &one, 1).unwrap();
+        let batch = sweep_streams(&pl, &delays, &one, batch_config(4)).unwrap();
+        let scalar = sweep_streams(&pl, &delays, &one, scalar_config(1)).unwrap();
         assert_eq!(batch[0].outputs, scalar[0].outputs);
     }
 
@@ -905,9 +471,9 @@ mod tests {
         let pl = xor_netlist();
         let delays = DelayModel::default();
         let vecs = vectors(143, 0xC0DE);
-        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, 1).unwrap();
+        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, scalar_config(1)).unwrap();
         for jobs in [1, 2, 4] {
-            let batch = sweep_sharded_batch(&pl, &delays, &vecs, 5, jobs).unwrap();
+            let batch = sweep_sharded(&pl, &delays, &vecs, 5, batch_config(jobs)).unwrap();
             assert_eq!(batch.outputs, baseline.outputs, "jobs={jobs} diverged");
         }
     }
@@ -925,7 +491,7 @@ mod tests {
             vec![vec![false; 5]],
         ];
         for jobs in [1, 2, 4] {
-            match sweep_streams_batch(&pl, &delays, &streams, jobs) {
+            match sweep_streams(&pl, &delays, &streams, batch_config(jobs)) {
                 Err(SimError::InputArityMismatch {
                     got: 1,
                     expected: 2,
@@ -948,7 +514,7 @@ mod tests {
             vec![vec![false; 5]],
         ];
         for jobs in [1, 2, 4, 8] {
-            match sweep_streams(&pl, &delays, &streams, jobs) {
+            match sweep_streams(&pl, &delays, &streams, scalar_config(jobs)) {
                 Err(SimError::InputArityMismatch {
                     got: 1,
                     expected: 2,

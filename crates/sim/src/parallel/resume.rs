@@ -1,7 +1,6 @@
-//! Crash-resumable pipelined sweeps: window-boundary checkpoints, a
-//! completed-window journal, bounded worker retry, and in-process
-//! degradation — all pinned bit-identical to an uninterrupted
-//! [`PlSimulator::run_stream`].
+//! Crash-resumable sweeps: one sequential pass over the vector stream
+//! with window-boundary checkpoints and a completed-window journal, pinned
+//! bit-identical to an uninterrupted [`PlSimulator::run_stream`].
 //!
 //! # On-disk layout
 //!
@@ -11,12 +10,25 @@
 //! |------|----------|
 //! | `sweep.meta` | run identity: magic `PLSWMETA`, format version, netlist fingerprint, delay-model digest, vector-stream digest, window size, vector count, trailing CRC32 |
 //! | `journal.bin` | append-only completed-window log; each entry is `len:u32 \| payload \| crc32(payload):u32` with payload `window:u64, last_tick:u64, n_words:u64, width:u64, words as 0/1 bytes` |
-//! | `window-{k:08}.ck` | the [`crate::SimCheckpoint`] wire encoding ([`crate::checkpoint::wire`]) of the leader state at the boundary *before* window `k`, for `k >= 1` (boundary 0 is the fresh simulator — no file needed) |
+//! | `window-{k:08}.ck` | the [`crate::SimCheckpoint`] wire encoding ([`crate::checkpoint::wire`]) of the simulator at the boundary *before* window `k`, for `k >= 1` (boundary 0 is the fresh simulator — no file needed) |
 //!
 //! Every file is written atomically (write `*.tmp`, `sync_all`, rename),
 //! so a kill can leave at worst a stale `*.tmp` (ignored) or a torn
 //! journal *tail* (detected by the per-entry CRC and truncated away on
 //! recovery — completed entries before it survive).
+//!
+//! # The run
+//!
+//! The sweep injects the vectors exactly as [`PlSimulator::run_stream`]
+//! does, one window at a time. After each window's vectors are fed, it
+//! collects and journals every window whose output words are all
+//! recorded, and only then writes the next boundary checkpoint. So a
+//! checkpoint's collected `rounds` are exactly the rounds the journal
+//! held when it was written, and every checkpoint is a self-describing
+//! restart point. The
+//! collected words leave the simulator, so a checkpoint carries only the
+//! rounds still in flight: checkpoint size and simulator memory are
+//! O(in-flight rounds), not O(stream position).
 //!
 //! # Recovery
 //!
@@ -24,39 +36,25 @@
 //! typed fatal [`SimError`] — a directory whose identity cannot be
 //! trusted is not resumed), rejects parameter drift with
 //! [`SimError::ResumeMismatch`], replays the journal to learn which
-//! windows already completed, finds the first incomplete window `F`, and
-//! restarts the leader from the *largest decodable* checkpoint boundary
-//! `<= F`. A corrupt or missing `window-k.ck` is recorded in
+//! windows already completed, and restores the *largest decodable*
+//! checkpoint boundary whose collected rounds the journal covers. A
+//! corrupt or unreadable `window-k.ck` is recorded in
 //! [`SweepRecovery::corrupt_files`] and routed around by falling back to
-//! the previous boundary (ultimately boundary 0), never trusted: the
-//! wire format's digests and CRCs decide, so resumption is correct even
-//! if every checkpoint file was byte-flipped.
+//! the previous boundary (ultimately boundary 0), never trusted: the wire
+//! format's digests and CRCs decide, so resumption is correct even if
+//! every checkpoint file was byte-flipped. Windows re-simulated after the
+//! restart point that the journal already holds are not appended again.
 //!
-//! # Fault tolerance during a run
-//!
-//! Window replays run on a scoped worker pool with `catch_unwind`
-//! isolation. A window whose worker panics or returns an error is
-//! retried up to [`ResumableOptions::max_retries`] times; past the
-//! budget the failure is recorded in [`SweepRecovery::worker_failures`]
-//! and the window degrades to in-process sequential execution on the
-//! caller's thread ([`SweepRecovery::degraded_windows`]) — a determinism
-//! bug that also fails in-process then surfaces as the run's error
-//! rather than being swallowed. Replay is deterministic, so none of this
-//! changes a single output bit.
-//!
-//! Memory note: unlike [`super::sweep_pipelined`], the leader here keeps
-//! recording output words (no pruning), so each `window-k.ck` file is a
-//! *self-contained* restart point decodable in a fresh process. Leader
-//! memory and checkpoint size are therefore O(rounds so far) — the price
-//! of crash-resumability; keep windows coarse for very long sweeps.
+//! A deterministic simulation that failed once fails the same way on
+//! every retry, so there is no retry budget: a simulation error ends the
+//! run with that error, exactly where [`PlSimulator::run_stream`] would
+//! report it.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pl_core::PlNetlist;
 
@@ -65,7 +63,6 @@ use crate::checkpoint::{netlist_fingerprint, Fnv64, SimCheckpoint};
 use crate::delay::{ticks_to_ns, DelayModel};
 use crate::engine::{PlSimulator, StreamOutcome};
 use crate::error::SimError;
-use crate::parallel::effective_jobs;
 use crate::queue::QueueKind;
 
 /// Magic bytes opening `sweep.meta` (distinct from the checkpoint
@@ -80,63 +77,45 @@ pub const META_VERSION: u32 = 1;
 pub struct ResumableOptions {
     /// Vectors per window (checkpoint/journal granularity). Must be > 0.
     pub window: usize,
-    /// Worker threads; `0` asks the OS ([`effective_jobs`]).
+    /// Ignored: the sweep is one sequential pass. Kept only so existing
+    /// callers still compile; it is slated for deletion.
     pub jobs: usize,
-    /// Event-queue backend for the leader and every worker.
+    /// Event-queue backend of the sweep's simulator.
     pub queue: QueueKind,
     /// `true` resumes an interrupted sweep already in the directory;
     /// `false` starts fresh and refuses a directory that has one.
     pub resume: bool,
-    /// Re-attempts granted to a failed or panicked window before it
-    /// degrades to in-process execution (`2` means up to 3 attempts).
-    pub max_retries: u32,
 }
 
 impl Default for ResumableOptions {
     fn default() -> Self {
         Self {
             window: 64,
-            jobs: 0,
+            jobs: 1,
             queue: QueueKind::default(),
             resume: false,
-            max_retries: 2,
         }
     }
 }
 
-/// One window that exhausted its worker retry budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowFailure {
-    /// The window index that kept failing.
-    pub window: usize,
-    /// Worker attempts made before giving up (0 if the pool died before
-    /// the window was ever picked up).
-    pub attempts: u32,
-    /// The last failure, rendered (panic payload or [`SimError`]).
-    pub message: String,
-}
-
-/// What recovery and fault handling did during a [`sweep_resumable`]
-/// run — the run's outputs are bit-identical regardless, this is the
-/// audit trail.
+/// What recovery did during a [`sweep_resumable`] run — the run's
+/// outputs are bit-identical regardless, this is the audit trail.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepRecovery {
     /// Total windows in the sweep.
     pub windows: usize,
-    /// Windows whose results were taken from the journal instead of
-    /// being re-simulated (0 on a fresh run).
+    /// Windows the journal already held when the run started (0 on a
+    /// fresh run); their words are taken from the journal.
     pub replayed_from_journal: usize,
-    /// The checkpoint boundary the leader restarted from (equals
-    /// `windows` when the journal was already complete).
+    /// The checkpoint boundary the run restarted from (equals `windows`
+    /// when the journal was already complete).
     pub restart_window: usize,
-    /// Windows retried at least once that still succeeded on a worker.
+    /// Always 0: nothing is retried, since a deterministic simulation
+    /// that failed once fails the same way again. Kept only so existing
+    /// callers still compile; it is slated for deletion.
     pub retried_windows: usize,
-    /// Windows that exhausted the retry budget, oldest first.
-    pub worker_failures: Vec<WindowFailure>,
-    /// Windows re-run in-process after exhausting the retry budget.
-    pub degraded_windows: usize,
-    /// Corrupt or unreadable recovery files that were detected and
-    /// routed around (`path: error` strings).
+    /// Corrupt, unreadable or unusable recovery files that were detected
+    /// and routed around (`path: reason` strings).
     pub corrupt_files: Vec<String>,
 }
 
@@ -144,14 +123,10 @@ impl fmt::Display for SweepRecovery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} windows, {} from journal, restart at {}, {} retried, \
-             {} failed, {} degraded, {} corrupt files",
+            "{} windows, {} from journal, restart at {}, {} corrupt files",
             self.windows,
             self.replayed_from_journal,
             self.restart_window,
-            self.retried_windows,
-            self.worker_failures.len(),
-            self.degraded_windows,
             self.corrupt_files.len()
         )
     }
@@ -163,29 +138,18 @@ impl fmt::Display for SweepRecovery {
 pub struct ResumableOutcome {
     /// Outputs, makespan, and throughput of the full stream.
     pub outcome: StreamOutcome,
-    /// What recovery and fault handling happened along the way.
+    /// What recovery happened along the way.
     pub recovery: SweepRecovery,
 }
 
 /// Fault-injection hooks for [`sweep_resumable_with_faults`] — the
-/// corruption harness's way to kill workers and halt runs at adversarial
-/// points. A default-constructed plan injects nothing.
-#[derive(Debug)]
+/// corruption harness's way to halt a run at an adversarial point. A
+/// default-constructed plan injects nothing.
+#[derive(Debug, Default)]
 pub struct FaultPlan {
-    /// window -> remaining worker panics to inject for that window.
-    panics: Mutex<HashMap<usize, u32>>,
-    /// Remaining successful journal appends before the injected halt
-    /// (-1 = disabled).
-    halt_after: AtomicI64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            panics: Mutex::new(HashMap::new()),
-            halt_after: AtomicI64::new(-1),
-        }
-    }
+    /// Successful journal appends left before the injected halt (`None`
+    /// = never halt).
+    halt_after: Cell<Option<u64>>,
 }
 
 impl FaultPlan {
@@ -195,50 +159,29 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Panics the worker replaying `window` on each of its next `times`
-    /// attempts (each panic kills that worker thread; the window is
-    /// retried by a surviving one).
-    pub fn panic_on_window(&self, window: usize, times: u32) {
-        *lock(&self.panics).entry(window).or_insert(0) += times;
-    }
-
     /// Halts the run with a typed I/O error just before the `(n+1)`-th
     /// journal append — simulating a kill at a window boundary, after
     /// `n` windows durably completed.
     pub fn halt_after_journal_appends(&self, n: u64) {
-        self.halt_after
-            .store(i64::try_from(n).unwrap_or(i64::MAX), Ordering::SeqCst);
-    }
-
-    fn take_panic(&self, window: usize) -> bool {
-        let mut m = lock(&self.panics);
-        match m.get_mut(&window) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                true
-            }
-            _ => false,
-        }
+        self.halt_after.set(Some(n));
     }
 
     fn check_halt(&self) -> Result<(), SimError> {
-        let prev = self
-            .halt_after
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                (v >= 0).then(|| v - 1)
-            });
-        match prev {
-            Ok(0) => Err(SimError::CheckpointIo {
-                path: "<fault-injection>".into(),
-                message: "injected halt before journal append".into(),
-            }),
-            _ => Ok(()),
+        match self.halt_after.get() {
+            None => Ok(()),
+            Some(0) => {
+                self.halt_after.set(None);
+                Err(SimError::CheckpointIo {
+                    path: "<fault-injection>".into(),
+                    message: "injected halt before journal append".into(),
+                })
+            }
+            Some(n) => {
+                self.halt_after.set(Some(n - 1));
+                Ok(())
+            }
         }
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> SimError {
@@ -363,11 +306,9 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaFields, SimError> {
     Ok(fields)
 }
 
-/// One decoded journal entry: a durably completed window.
-struct JournalEntry {
-    last_tick: u64,
-    words: Vec<Vec<bool>>,
-}
+/// One durably completed window: its latest record tick and its output
+/// words.
+type WindowResult = (u64, Vec<Vec<bool>>);
 
 fn encode_entry(window: usize, last_tick: u64, words: &[Vec<bool>]) -> Vec<u8> {
     let width = words.first().map_or(0, Vec::len);
@@ -406,9 +347,10 @@ impl JournalShape {
     }
 }
 
-/// Parses one `len | payload | crc` frame. `None` means "malformed from
-/// here on" — the caller truncates the tail.
-fn parse_entry(bytes: &[u8], shape: &JournalShape) -> Option<(usize, usize, JournalEntry)> {
+/// Parses one `len | payload | crc` frame, which must hold window
+/// `window` (the journal is appended in window order). `None` means
+/// "malformed from here on" — the caller truncates the tail.
+fn parse_entry(bytes: &[u8], window: usize, shape: &JournalShape) -> Option<(usize, WindowResult)> {
     let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let payload = bytes.get(4..4 + len)?;
     let stored = u32::from_le_bytes(bytes.get(4 + len..4 + len + 4)?.try_into().ok()?);
@@ -420,11 +362,15 @@ fn parse_entry(bytes: &[u8], shape: &JournalShape) -> Option<(usize, usize, Jour
     // definition (no real window/word count gets near it), and an `as`
     // cast would instead truncate it into a plausible small value on
     // 32-bit targets.
-    let window = usize::try_from(r.u64("journal").ok()?).ok()?;
+    let index = usize::try_from(r.u64("journal").ok()?).ok()?;
     let last_tick = r.u64("journal").ok()?;
     let n_words = usize::try_from(r.u64("journal").ok()?).ok()?;
     let width = usize::try_from(r.u64("journal").ok()?).ok()?;
-    if window >= shape.n_windows || width != shape.width || n_words != shape.words_in(window) {
+    if index != window
+        || window >= shape.n_windows
+        || width != shape.width
+        || n_words != shape.words_in(window)
+    {
         return None;
     }
     if r.remaining() != n_words.checked_mul(width)? {
@@ -438,29 +384,29 @@ fn parse_entry(bytes: &[u8], shape: &JournalShape) -> Option<(usize, usize, Jour
         }
         words.push(row.iter().map(|&b| b == 1).collect());
     }
-    Some((8 + len, window, JournalEntry { last_tick, words }))
+    Some((8 + len, (last_tick, words)))
 }
 
-/// Replays `journal.bin`: returns the completed windows and, if a torn
-/// tail was found, truncates it away (so the next append lands on a
-/// clean frame boundary) and reports it as a note for
+/// Replays `journal.bin`: returns the completed windows in window order
+/// and, if a torn tail was found, truncates it away (so the next append
+/// lands on a clean frame boundary) and reports it as a note for
 /// [`SweepRecovery::corrupt_files`].
 fn scan_journal(
     path: &Path,
     shape: &JournalShape,
-) -> Result<(HashMap<usize, JournalEntry>, Option<String>), SimError> {
+) -> Result<(Vec<WindowResult>, Option<String>), SimError> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((HashMap::new(), None)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), None)),
         Err(e) => return Err(io_err(path, &e)),
     };
-    let mut completed = HashMap::new();
+    let mut completed = Vec::new();
     let mut pos = 0usize;
     let mut note = None;
     while pos < bytes.len() {
-        match parse_entry(&bytes[pos..], shape) {
-            Some((consumed, window, entry)) => {
-                completed.insert(window, entry);
+        match parse_entry(&bytes[pos..], completed.len(), shape) {
+            Some((consumed, entry)) => {
+                completed.push(entry);
                 pos += consumed;
             }
             None => {
@@ -514,146 +460,91 @@ impl Journal {
     }
 }
 
-/// One staged window replay.
-struct Task<'v> {
+/// Restores into `sim` the largest decodable boundary checkpoint whose
+/// collected rounds the journal covers (a whole number of windows, all
+/// below `journaled`), and returns that boundary — 0, the fresh
+/// simulator, when none qualifies. Every checkpoint file passed over on
+/// the way down is recorded in `notes` with the reason.
+fn restore_latest(
+    sim: &mut PlSimulator<'_>,
+    dir: &Path,
+    delays: &DelayModel,
     window: usize,
-    start_round: usize,
-    vectors: &'v [Vec<bool>],
-    checkpoint: SimCheckpoint,
-}
-
-/// A replayed window's payload: the collected output words plus the
-/// replaying simulator's final tick.
-type WindowResult = (Vec<Vec<bool>>, u64);
-
-/// Per-task batch verdict: attempts made, then the replay result or the
-/// last failure message.
-type TaskResult = (u32, Result<WindowResult, String>);
-
-/// Everything a batch's workers share besides the tasks themselves.
-struct BatchCtx<'a> {
-    pl: &'a PlNetlist,
-    delays: &'a DelayModel,
-    queue: QueueKind,
-    jobs: usize,
-    max_retries: u32,
-    faults: &'a FaultPlan,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
-/// Replays a batch of windows on up to `jobs` workers with retry.
-///
-/// Workers pull tasks off a shared cursor; a failed attempt (error or
-/// caught panic) goes onto a retry stack while the budget lasts. A
-/// panicked worker's simulator state is unreliable, so that worker
-/// thread exits; survivors pick the retry up. If the whole pool dies the
-/// leftover tasks simply come back as failures — the caller degrades
-/// them in-process, so the sweep always terminates.
-fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<TaskResult> {
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    let BatchCtx {
-        pl,
-        queue,
-        jobs,
-        max_retries,
-        faults,
-        ..
-    } = *ctx;
-    let successes: Mutex<Vec<Option<WindowResult>>> =
-        Mutex::new((0..tasks.len()).map(|_| None).collect());
-    let fail_log: Mutex<Vec<Option<String>>> = Mutex::new(vec![None; tasks.len()]);
-    let attempts: Vec<AtomicU32> = tasks.iter().map(|_| AtomicU32::new(0)).collect();
-    let cursor = AtomicUsize::new(0);
-    let retry: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let workers = effective_jobs(jobs, tasks.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (successes, fail_log, attempts) = (&successes, &fail_log, &attempts);
-            let (cursor, retry) = (&cursor, &retry);
-            let delays = ctx.delays.clone();
-            scope.spawn(move || {
-                let mut sim = PlSimulator::with_queue(pl, delays, queue)
-                    .expect("the leader already validated this netlist");
-                loop {
-                    let i = lock(retry)
-                        .pop()
-                        .unwrap_or_else(|| cursor.fetch_add(1, Ordering::SeqCst));
-                    if i >= tasks.len() {
-                        break;
-                    }
-                    let t = &tasks[i];
-                    let n = attempts[i].fetch_add(1, Ordering::SeqCst) + 1;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if faults.take_panic(t.window) {
-                            panic!(
-                                "injected fault: worker killed replaying window {}",
-                                t.window
-                            );
-                        }
-                        sim.restore(&t.checkpoint)?;
-                        sim.replay_window(t.vectors, t.start_round, base)
-                    }));
-                    match outcome {
-                        Ok(Ok(result)) => {
-                            lock(successes)[i] = Some(result);
-                        }
-                        Ok(Err(e)) => {
-                            lock(fail_log)[i] = Some(e.to_string());
-                            if n <= max_retries {
-                                lock(retry).push(i);
-                            }
-                        }
-                        Err(payload) => {
-                            lock(fail_log)[i] = Some(panic_message(payload.as_ref()));
-                            if n <= max_retries {
-                                lock(retry).push(i);
-                            }
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let mut successes = successes
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let mut fail_log = fail_log
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    (0..tasks.len())
-        .map(|i| {
-            let n = attempts[i].load(Ordering::SeqCst);
-            match successes[i].take() {
-                Some(r) => (n.max(1), Ok(r)),
-                None => (
-                    n,
-                    Err(fail_log[i].take().unwrap_or_else(|| {
-                        "window never completed: worker pool exhausted".to_string()
-                    })),
-                ),
-            }
+    journaled: usize,
+    n_windows: usize,
+    notes: &mut Vec<String>,
+) -> Result<usize, SimError> {
+    let mut boundaries: Vec<usize> = fs::read_dir(dir)
+        .map_err(|e| io_err(dir, &e))?
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name();
+            let name = name.to_str()?;
+            let k: usize = name
+                .strip_prefix("window-")?
+                .strip_suffix(".ck")?
+                .parse()
+                .ok()?;
+            (1..n_windows).contains(&k).then_some(k)
         })
-        .collect()
+        .collect();
+    boundaries.sort_unstable_by(|a, b| b.cmp(a));
+    for k in boundaries {
+        let path = ck_path(dir, k);
+        let decoded = fs::read(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| {
+                SimCheckpoint::from_bytes(&bytes, sim.pl, delays).map_err(|e| e.to_string())
+            });
+        let ck = match decoded {
+            Ok(ck) => ck,
+            Err(e) => {
+                notes.push(format!("{}: {e}", path.display()));
+                continue;
+            }
+        };
+        let rounds = ck.rounds();
+        let covered = (journaled * window) as u64;
+        if rounds % window as u64 != 0 || rounds > covered {
+            notes.push(format!(
+                "{}: holds {rounds} collected rounds, the journal covers {covered}",
+                path.display()
+            ));
+            continue;
+        }
+        sim.restore(&ck)?;
+        return Ok(k);
+    }
+    Ok(0)
 }
 
-/// Runs one long vector stream as a crash-resumable pipelined sweep (see
-/// the [module docs](self) for the on-disk layout and recovery rules).
-/// The returned outputs, makespan, and throughput are **bit-identical to
-/// a sequential [`PlSimulator::run_stream`]** for every `(jobs, window)`
-/// combination, across kills, resumes, corrupt checkpoint files, and
-/// worker failures.
+/// Collects window `j`'s `len` output words from `sim` (running events
+/// until they are all recorded) and journals them — unless the journal
+/// already holds window `j`, which happens when the run restarted from a
+/// checkpoint before the journal's end.
+fn complete_window(
+    sim: &mut PlSimulator<'_>,
+    j: usize,
+    len: usize,
+    journal: &mut Journal,
+    faults: &FaultPlan,
+    results: &mut Vec<WindowResult>,
+) -> Result<(), SimError> {
+    let mut words = Vec::with_capacity(len);
+    let last = sim.collect_rounds(len, &mut words)?;
+    if j == results.len() {
+        journal.append(faults, j, last, &words)?;
+        results.push((last, words));
+    } else {
+        debug_assert_eq!(results[j], (last, words), "window {j} replayed differently");
+    }
+    Ok(())
+}
+
+/// Runs one long vector stream as a crash-resumable sweep (see the
+/// [module docs](self) for the on-disk layout and recovery rules). The
+/// returned outputs, makespan, and throughput are **bit-identical to a
+/// sequential [`PlSimulator::run_stream`]** for every window size, across
+/// kills, resumes, and corrupt checkpoint files.
 ///
 /// # Errors
 ///
@@ -666,7 +557,7 @@ fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<Task
 /// * [`SimError::ResumeMismatch`] — a resume under a different netlist,
 ///   delay model, vector stream, or window size.
 /// * Any simulation error ([`SimError::Deadlock`], ...) the sequential
-///   run would also report, at the lowest failing window.
+///   run would also report.
 ///
 /// # Panics
 ///
@@ -717,9 +608,9 @@ pub fn sweep_resumable_with_faults(
         ..SweepRecovery::default()
     };
 
-    // Window results, indexed by window. Journal replay fills some of
-    // these on resume; simulation fills the rest.
-    let mut results: Vec<Option<(u64, Vec<Vec<bool>>)>> = (0..n_windows).map(|_| None).collect();
+    // Completed windows in window order: the journal's on resume, then
+    // the ones this run simulates.
+    let mut results: Vec<WindowResult> = Vec::with_capacity(n_windows);
 
     if opts.resume {
         let bytes = fs::read(&meta_path).map_err(|e| io_err(&meta_path, &e))?;
@@ -751,12 +642,8 @@ pub fn sweep_resumable_with_faults(
         };
         let (completed, note) = scan_journal(&dir.join("journal.bin"), &shape)?;
         recovery.replayed_from_journal = completed.len();
-        if let Some(n) = note {
-            recovery.corrupt_files.push(n);
-        }
-        for (k, e) in completed {
-            results[k] = Some((e.last_tick, e.words));
-        }
+        recovery.corrupt_files.extend(note);
+        results = completed;
     } else {
         if fs::metadata(&meta_path).is_ok() {
             return Err(SimError::CheckpointIo {
@@ -768,135 +655,48 @@ pub fn sweep_resumable_with_faults(
         write_atomic(&meta_path, &encode_meta(&meta))?;
     }
 
-    // Building the leader also validates the netlist, so worker-side
-    // construction cannot fail once this succeeds.
-    let mut leader = PlSimulator::with_queue(pl, delays.clone(), opts.queue)?;
-
-    if let Some(first) = results.iter().position(Option::is_none) {
-        // Restart the leader from the largest decodable boundary <= first;
-        // corrupt checkpoint files are recorded and routed around.
-        let mut restart = 0usize;
-        for k in (1..=first).rev() {
-            let path = ck_path(dir, k);
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => {
-                    recovery
-                        .corrupt_files
-                        .push(format!("{}: {e}", path.display()));
-                    continue;
-                }
-            };
-            match SimCheckpoint::from_bytes(&bytes, pl, delays) {
-                Ok(ck) => {
-                    leader.restore(&ck)?;
-                    restart = k;
-                    break;
-                }
-                Err(e) => {
-                    recovery
-                        .corrupt_files
-                        .push(format!("{}: {e}", path.display()));
-                }
-            }
-        }
+    recovery.restart_window = n_windows;
+    if results.len() < n_windows {
+        // Building the simulator also validates the netlist.
+        let mut sim = PlSimulator::with_queue(pl, delays.clone(), opts.queue)?;
+        let restart = restore_latest(
+            &mut sim,
+            dir,
+            delays,
+            opts.window,
+            results.len(),
+            n_windows,
+            &mut recovery.corrupt_files,
+        )?;
         recovery.restart_window = restart;
-
         let chunks: Vec<&[Vec<bool>]> = vectors.chunks(opts.window).collect();
-        let jobs = effective_jobs(opts.jobs, n_windows - first);
-        let batch_cap = 2 * jobs;
-        let base = vec![0usize; pl.output_gates().len()];
         let mut journal = Journal::open_append(dir.join("journal.bin"))?;
-        let mut leader_err: Option<SimError> = None;
-        let mut k = restart;
-        while k < n_windows && leader_err.is_none() {
-            // Stage a batch: write the boundary checkpoint, queue the
-            // window unless the journal already has it, advance the
-            // leader through its vectors.
-            let mut batch: Vec<Task<'_>> = Vec::new();
-            while k < n_windows && batch.len() < batch_cap {
-                let done = results[k].is_some();
-                if k > 0 || !done {
-                    let ck = leader.snapshot();
-                    if k > 0 {
-                        write_atomic(&ck_path(dir, k), &ck.to_bytes(delays))?;
-                    }
-                    if !done {
-                        batch.push(Task {
-                            window: k,
-                            start_round: k * opts.window,
-                            vectors: chunks[k],
-                            checkpoint: ck,
-                        });
-                    }
-                }
-                let mut fed_err = None;
-                for v in chunks[k] {
-                    if let Err(e) = leader.feed_vector(v) {
-                        fed_err = Some(e);
-                        break;
-                    }
-                }
-                k += 1;
-                if let Some(e) = fed_err {
-                    // The windows already staged may hold the true (lower)
-                    // first error — flush them before reporting this one.
-                    leader_err = Some(e);
-                    break;
-                }
+        // The next window to collect; the restored rounds are whole
+        // windows the journal holds.
+        let mut next = sim.rounds() as usize / opts.window;
+        for k in restart..n_windows {
+            for v in chunks[k] {
+                sim.feed_vector(v)?;
             }
-            let verdicts = run_batch(
-                &BatchCtx {
-                    pl,
-                    delays,
-                    queue: opts.queue,
-                    jobs,
-                    max_retries: opts.max_retries,
-                    faults,
-                },
-                &batch,
-                &base,
-            );
-            for (t, (made, verdict)) in batch.iter().zip(verdicts) {
-                let (words, last) = match verdict {
-                    Ok(r) => {
-                        if made > 1 {
-                            recovery.retried_windows += 1;
-                        }
-                        r
-                    }
-                    Err(message) => {
-                        recovery.worker_failures.push(WindowFailure {
-                            window: t.window,
-                            attempts: made,
-                            message,
-                        });
-                        // Degrade: replay in-process. An error here is the
-                        // deterministic simulation error the sequential
-                        // run would hit — propagate it.
-                        let mut sim = PlSimulator::with_queue(pl, delays.clone(), opts.queue)?;
-                        sim.restore(&t.checkpoint)?;
-                        let r = sim.replay_window(t.vectors, t.start_round, &base)?;
-                        recovery.degraded_windows += 1;
-                        r
-                    }
-                };
-                journal.append(faults, t.window, last, &words)?;
-                results[t.window] = Some((last, words));
+            while next <= k && sim.recorded_rounds() >= chunks[next].len() {
+                let len = chunks[next].len();
+                complete_window(&mut sim, next, len, &mut journal, faults, &mut results)?;
+                next += 1;
+            }
+            // Journal first, then the checkpoint: its collected rounds
+            // are then always rounds the journal already holds.
+            if k + 1 < n_windows {
+                write_atomic(&ck_path(dir, k + 1), &sim.snapshot().to_bytes(delays))?;
             }
         }
-        if let Some(e) = leader_err {
-            return Err(e);
+        for (j, chunk) in chunks.iter().enumerate().skip(next) {
+            complete_window(&mut sim, j, chunk.len(), &mut journal, faults, &mut results)?;
         }
-    } else {
-        recovery.restart_window = n_windows;
     }
 
     let mut outputs = Vec::with_capacity(vectors.len());
     let mut last = 0u64;
-    for slot in results {
-        let (t, words) = slot.expect("every window resolved");
+    for (t, words) in results {
         outputs.extend(words);
         last = last.max(t);
     }
@@ -920,9 +720,11 @@ mod tests {
     use super::*;
     use pl_netlist::Netlist;
 
-    /// An input-paced XOR output, a free-running DFF counter output, and
-    /// a constant output — every record source in one design, with state
-    /// carried across window boundaries.
+    /// An input-paced XOR output, a free-running DFF ring output (paced
+    /// by its own loop, not by the fed vectors, so its words are recorded
+    /// on a schedule of their own), and a constant output (recorded at
+    /// feed time, not by a gate firing) — every record source in one
+    /// design, with state carried across window boundaries.
     fn mixed_netlist() -> PlNetlist {
         let mut n = Netlist::new("mixed");
         let a = n.add_input("a");
@@ -934,8 +736,10 @@ mod tests {
         let t1 = n.add_xor2(q1, q0).unwrap();
         n.set_dff_input(q0, n0).unwrap();
         n.set_dff_input(q1, t1).unwrap();
+        let c = n.add_const(true);
         n.set_output("x", x);
         n.set_output("q1", q1);
+        n.set_output("k", c);
         PlNetlist::from_sync(&n).unwrap()
     }
 
@@ -983,6 +787,8 @@ mod tests {
         }
     }
 
+    /// `jobs` is ignored (the sweep is one sequential pass), so no value
+    /// of it may change a bit.
     #[test]
     fn fresh_sweep_matches_run_stream_across_jobs_and_windows() {
         let pl = mixed_netlist();
@@ -1000,8 +806,7 @@ mod tests {
             assert_eq!(got.outcome, expect, "window={window} jobs={jobs} diverged");
             assert_eq!(got.recovery.windows, vecs.len().div_ceil(window));
             assert_eq!(got.recovery.replayed_from_journal, 0);
-            assert!(got.recovery.worker_failures.is_empty());
-            assert_eq!(got.recovery.degraded_windows, 0);
+            assert_eq!(got.recovery.retried_windows, 0);
             assert!(got.recovery.corrupt_files.is_empty());
         }
     }
@@ -1014,7 +819,6 @@ mod tests {
         let dir = TempDir::new("complete_resume");
         let opts = ResumableOptions {
             window: 4,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let first = sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1043,7 +847,6 @@ mod tests {
         let dir = TempDir::new("halt_resume");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
@@ -1068,6 +871,9 @@ mod tests {
         assert_eq!(resumed.outcome, expect, "resume diverged from sequential");
         assert_eq!(resumed.recovery.replayed_from_journal, 2);
         assert!(resumed.recovery.restart_window >= 2);
+        // The newest checkpoint was written after its rounds were
+        // journaled, so nothing on disk had to be passed over.
+        assert!(resumed.recovery.corrupt_files.is_empty());
     }
 
     #[test]
@@ -1079,24 +885,31 @@ mod tests {
         let dir = TempDir::new("corrupt_ck");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
         faults.halt_after_journal_appends(2);
         sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
             .expect_err("the injected halt kills the run");
-        // First incomplete window is 2: truncate its boundary checkpoint
-        // and byte-flip boundary 1's, forcing recovery back to a fresh
-        // leader that re-feeds the journaled windows.
-        let ck2 = ck_path(dir.path(), 2);
-        let bytes = fs::read(&ck2).unwrap();
-        fs::write(&ck2, &bytes[..7]).unwrap();
-        let ck1 = ck_path(dir.path(), 1);
-        let mut bytes = fs::read(&ck1).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xA5;
-        fs::write(&ck1, bytes).unwrap();
+        // Damage every boundary checkpoint the killed run left behind —
+        // truncate the newest, byte-flip the rest — forcing recovery back
+        // to a fresh simulator that re-feeds the journaled windows.
+        let mut cks: Vec<PathBuf> = fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ck"))
+            .collect();
+        cks.sort();
+        assert!(cks.len() >= 2, "the run got past two boundaries: {cks:?}");
+        let newest = cks.pop().unwrap();
+        let bytes = fs::read(&newest).unwrap();
+        fs::write(&newest, &bytes[..7]).unwrap();
+        for ck in &cks {
+            let mut bytes = fs::read(ck).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xA5;
+            fs::write(ck, bytes).unwrap();
+        }
         let resumed = sweep_resumable(
             &pl,
             &delays,
@@ -1112,8 +925,8 @@ mod tests {
         assert_eq!(resumed.recovery.restart_window, 0);
         assert_eq!(
             resumed.recovery.corrupt_files.len(),
-            2,
-            "both damaged files must be reported: {:?}",
+            cks.len() + 1,
+            "every damaged file must be reported: {:?}",
             resumed.recovery.corrupt_files
         );
     }
@@ -1127,7 +940,6 @@ mod tests {
         let dir = TempDir::new("torn_tail");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
@@ -1160,57 +972,133 @@ mod tests {
         );
     }
 
+    /// A checkpoint whose collected rounds the journal does not cover
+    /// (journal frames lost after it was written) is not a restart
+    /// point: recovery passes over it, says why, and still matches.
     #[test]
-    fn panicked_worker_window_is_retried_and_stays_identical() {
+    fn checkpoint_ahead_of_the_journal_is_routed_around() {
         let pl = mixed_netlist();
         let delays = DelayModel::default();
-        let vecs = test_vectors(20, 0x9A1C);
+        let vecs = test_vectors(20, 0xA7EAD);
         let expect = baseline(&pl, &vecs);
-        let dir = TempDir::new("retry");
+        let dir = TempDir::new("ahead");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 4,
-            max_retries: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
-        faults.panic_on_window(1, 1);
-        faults.panic_on_window(4, 1);
-        let got = sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
-            .expect("retries absorb the injected panics");
-        assert_eq!(got.outcome, expect);
-        assert!(got.recovery.retried_windows >= 1, "{}", got.recovery);
-        assert!(got.recovery.worker_failures.is_empty(), "{}", got.recovery);
-        assert_eq!(got.recovery.degraded_windows, 0);
+        faults.halt_after_journal_appends(3);
+        sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
+            .expect_err("the injected halt kills the run");
+        // Keep only the first journal frame: windows 1 and 2 are lost.
+        let journal = dir.path().join("journal.bin");
+        let bytes = fs::read(&journal).unwrap();
+        let first = 8 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        fs::write(&journal, &bytes[..first]).unwrap();
+        let resumed = sweep_resumable(
+            &pl,
+            &delays,
+            &vecs,
+            dir.path(),
+            &ResumableOptions {
+                resume: true,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(resumed.outcome, expect);
+        assert_eq!(resumed.recovery.replayed_from_journal, 1);
+        let restart = resumed.recovery.restart_window;
+        if restart > 0 {
+            let bytes = fs::read(ck_path(dir.path(), restart)).unwrap();
+            let ck = SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays).unwrap();
+            assert!(ck.rounds() <= 3, "restarted past the journal");
+        }
+        assert!(
+            resumed
+                .recovery
+                .corrupt_files
+                .iter()
+                .any(|n| n.contains("the journal covers 3")),
+            "{:?}",
+            resumed.recovery.corrupt_files
+        );
+    }
+
+    /// Window boundaries are not resets: state carries across them, so a
+    /// free-running counter must count on through every window.
+    #[test]
+    fn sweep_carries_state_across_windows() {
+        let mut n = Netlist::new("cnt");
+        let q0 = n.add_dff(false);
+        let q1 = n.add_dff(false);
+        let n0 = n.add_not(q0).unwrap();
+        let t1 = n.add_xor2(q1, q0).unwrap();
+        n.set_dff_input(q0, n0).unwrap();
+        n.set_dff_input(q1, t1).unwrap();
+        n.set_output("q0", q0);
+        n.set_output("q1", q1);
+        let pl = PlNetlist::from_sync(&n).unwrap();
+        let vecs: Vec<Vec<bool>> = (0..8).map(|_| Vec::new()).collect();
+        let dir = TempDir::new("counter");
+        let opts = ResumableOptions {
+            window: 2,
+            ..ResumableOptions::default()
+        };
+        let out = sweep_resumable(&pl, &DelayModel::default(), &vecs, dir.path(), &opts).unwrap();
+        let counts: Vec<u8> = out
+            .outcome
+            .outputs
+            .iter()
+            .map(|w| (u8::from(w[1]) << 1) | u8::from(w[0]))
+            .collect();
+        assert_eq!(
+            counts,
+            vec![0, 1, 2, 3, 0, 1, 2, 3],
+            "window boundary reset the counter"
+        );
+    }
+
+    /// A malformed vector ends the run with the error `run_stream`
+    /// reports for it, and the windows before it stay journaled.
+    #[test]
+    fn simulation_error_ends_the_run_like_run_stream() {
+        let pl = mixed_netlist();
+        let delays = DelayModel::default();
+        let mut vecs = test_vectors(9, 0xEBB);
+        vecs[5] = vec![true];
+        let direct = PlSimulator::new(&pl, delays.clone())
+            .unwrap()
+            .run_stream(&vecs)
+            .expect_err("vector 5 is malformed");
+        let dir = TempDir::new("sim_error");
+        let opts = ResumableOptions {
+            window: 2,
+            ..ResumableOptions::default()
+        };
+        match sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts) {
+            Err(
+                e @ SimError::InputArityMismatch {
+                    got: 1,
+                    expected: 2,
+                },
+            ) => {
+                assert_eq!(e.to_string(), direct.to_string());
+            }
+            other => panic!("expected the arity error, got {other:?}"),
+        }
     }
 
     #[test]
-    fn exhausted_retries_degrade_in_process_not_swallowed() {
+    #[should_panic(expected = "window must be at least 1")]
+    fn zero_window_is_rejected() {
         let pl = mixed_netlist();
-        let delays = DelayModel::default();
-        let vecs = test_vectors(20, 0xDE6);
-        let expect = baseline(&pl, &vecs);
-        let dir = TempDir::new("degrade");
+        let dir = TempDir::new("zero_window");
         let opts = ResumableOptions {
-            window: 3,
-            jobs: 4,
-            max_retries: 1,
+            window: 0,
             ..ResumableOptions::default()
         };
-        let faults = FaultPlan::new();
-        faults.panic_on_window(2, u32::MAX);
-        let got = sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
-            .expect("the degraded window still completes in-process");
-        assert_eq!(got.outcome, expect, "degraded run diverged");
-        assert_eq!(got.recovery.degraded_windows, 1);
-        assert_eq!(got.recovery.worker_failures.len(), 1);
-        let failure = &got.recovery.worker_failures[0];
-        assert_eq!(failure.window, 2);
-        assert!(
-            failure.message.contains("injected fault"),
-            "the real panic payload must be reported, got: {}",
-            failure.message
-        );
+        let _ = sweep_resumable(&pl, &DelayModel::default(), &[], dir.path(), &opts);
     }
 
     #[test]
@@ -1221,7 +1109,6 @@ mod tests {
         let dir = TempDir::new("refuse_reuse");
         let opts = ResumableOptions {
             window: 2,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1239,7 +1126,6 @@ mod tests {
         let dir = TempDir::new("mismatch");
         let opts = ResumableOptions {
             window: 2,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1286,7 +1172,6 @@ mod tests {
         let dir = TempDir::new("corrupt_meta");
         let opts = ResumableOptions {
             window: 2,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1356,17 +1241,12 @@ mod tests {
             windows: 7,
             replayed_from_journal: 3,
             restart_window: 3,
-            retried_windows: 1,
-            worker_failures: vec![WindowFailure {
-                window: 5,
-                attempts: 3,
-                message: "boom".into(),
-            }],
-            degraded_windows: 1,
+            retried_windows: 0,
             corrupt_files: vec!["x.ck: bad".into()],
         };
         let s = r.to_string();
         assert!(s.contains("7 windows"), "{s}");
-        assert!(s.contains("1 degraded"), "{s}");
+        assert!(s.contains("restart at 3"), "{s}");
+        assert!(s.contains("1 corrupt files"), "{s}");
     }
 }

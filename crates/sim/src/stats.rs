@@ -121,28 +121,15 @@ pub fn random_vectors(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>
 }
 
 /// Runs the given input vectors through a netlist on one simulator (state
-/// carries across vectors) and returns the outputs per vector plus
-/// latency statistics.
+/// carries across vectors) scheduling through the `queue` backend, and
+/// returns the outputs per vector plus latency statistics. Outputs and
+/// latencies are backend-invariant (the backend only changes
+/// queue-operation cost, never the event schedule).
 ///
 /// # Errors
 ///
 /// Propagates simulator failures.
 pub fn measure_latency_on(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
-    measure_latency_on_with_queue(pl, delays, vectors, QueueKind::default())
-}
-
-/// [`measure_latency_on`] with an explicit event-queue backend for the
-/// measuring simulator. Outputs and latencies are backend-invariant (the
-/// backend only changes queue-operation cost, never the event schedule).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn measure_latency_on_with_queue(
     pl: &PlNetlist,
     delays: &DelayModel,
     vectors: &[Vec<bool>],
@@ -174,7 +161,7 @@ pub fn measure_latency(
     seed: u64,
 ) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
     let vectors = random_vectors(pl.input_gates().len(), count, seed);
-    measure_latency_on(pl, delays, &vectors)
+    measure_latency_on(pl, delays, &vectors, QueueKind::default())
 }
 
 #[cfg(test)]

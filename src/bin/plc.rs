@@ -61,12 +61,12 @@ const SPEC: CliSpec = CliSpec {
         OptSpec {
             long: "--jobs",
             value: Some("J"),
-            help: "worker threads for the variant sweep (0 = one per core)",
+            help: "worker threads for the simulate stage: the plain and EE variants, or with --lanes the 64 substreams, are spread over them (0 = one per core; results are identical at any value)",
         },
         OptSpec {
             long: "--window",
             value: Some("N"),
-            help: "stream the vectors through pipelined N-vector windows (checkpoint handoff across --jobs workers; reports makespan/throughput)",
+            help: "stream all vectors through each variant as one continuous pipelined run and report makespan/throughput; with --checkpoint-dir, checkpoint and journal every N vectors",
         },
         OptSpec {
             long: "--lanes",
@@ -81,17 +81,12 @@ const SPEC: CliSpec = CliSpec {
         OptSpec {
             long: "--checkpoint-dir",
             value: Some("DIR"),
-            help: "make the streamed sweep crash-resumable: write window checkpoints and a completed-window journal under DIR (plain/ and ee/ subtrees; requires --window)",
+            help: "make the streamed run crash-resumable: write a checkpoint every --window vectors and a completed-window journal under DIR (plain/ and ee/ subtrees; requires --window)",
         },
         OptSpec {
             long: "--resume",
             value: None,
             help: "resume an interrupted sweep from --checkpoint-dir (a fresh run refuses a directory that already holds one)",
-        },
-        OptSpec {
-            long: "--max-retries",
-            value: Some("N"),
-            help: "worker re-attempts per sweep window before in-process fallback (default 2; requires --checkpoint-dir)",
         },
         OptSpec {
             long: "--threshold",
@@ -464,7 +459,6 @@ fn main() -> ExitCode {
     opts.lanes = args.value_opt::<usize>("--lanes");
     opts.checkpoint_dir = args.get("--checkpoint-dir").map(std::path::PathBuf::from);
     opts.resume = args.flag("--resume");
-    opts.max_retries = args.value_opt::<u32>("--max-retries");
     opts.lint.enabled = !args.flag("--no-lint");
     match parse_lint_levels(&args.get_all("--lint-level")) {
         Ok(levels) => opts.lint.overrides = levels,
@@ -909,7 +903,7 @@ fn check_flag_consistency(
     } else {
         (Stage::Simulate, "simulate")
     };
-    let needs: [(&str, bool, Stage, &str); 17] = [
+    let needs: [(&str, bool, Stage, &str); 16] = [
         (
             "--lanes",
             args.get("--lanes").is_some(),
@@ -993,12 +987,6 @@ fn check_flag_consistency(
         (
             "--resume",
             args.flag("--resume"),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--max-retries",
-            args.get("--max-retries").is_some(),
             Stage::Simulate,
             "simulate",
         ),
@@ -1162,7 +1150,7 @@ fn drive(
         );
         print_lane_digest(&sim.outputs);
     } else if let (Some(window), Some(stream_plain)) = (sim.report.window, &sim.stream_plain) {
-        // Streamed protocol: one pipelined run per variant — makespan and
+        // Streamed protocol: one continuous run per variant — makespan and
         // throughput are the metrics, plus a digest of the output words
         // (the CI determinism smoke diffs these lines across --jobs).
         print_streamed("without EE", window, stream_plain, &sim.outputs);
@@ -1240,9 +1228,10 @@ fn print_lane_digest(words: &[Vec<bool>]) {
 }
 
 /// Prints one variant's streamed outcome with a deterministic FNV-1a
-/// digest of the output words — `--jobs`/`--window` must never change
-/// this line (the pipelined sweep is bit-identical to the sequential
-/// stream), which the CI smoke step asserts by diffing it across runs.
+/// digest of the output words — `--jobs`, `--queue` and
+/// `--checkpoint-dir` must never change this line (the resumable sweep is
+/// bit-identical to the plain stream), which the CI smoke steps assert by
+/// diffing it across runs.
 /// The words are passed separately because the flow's stream outcomes
 /// carry metrics only (both variants' words are identical and live in
 /// `Simulated::outputs` once).

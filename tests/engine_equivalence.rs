@@ -18,8 +18,13 @@ use pl_core::ee::EeOptions;
 use pl_core::trigger::{search_triggers_baseline, TriggerCache};
 use pl_core::{PlGateId, PlGateKind, PlNetlist};
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, PlSimulator, ReferenceSimulator};
+use pl_sim::{
+    DelayModel, PlSimulator, QueueKind, ReferenceSimulator, ResumableOptions, SweepConfig,
+};
 use pl_techmap::{map_to_lut4, MapOptions};
+
+mod common;
+use common::TempDir;
 
 const LATENCY_TOL_NS: f64 = 1e-6; // one femtosecond tick
 
@@ -172,6 +177,14 @@ fn memoized_search_identical_on_random_lut4s() {
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// Scalar engines on `jobs` workers with the default queue.
+fn scalar_config(jobs: usize) -> SweepConfig {
+    SweepConfig {
+        jobs,
+        ..SweepConfig::default()
+    }
+}
+
 /// Sequential baseline for [`pl_sim::sweep_streams`]: one private
 /// simulator per stream, run in stream order on the calling thread.
 fn sequential_streams(pl: &PlNetlist, streams: &[Vec<Vec<bool>>]) -> Vec<pl_sim::StreamOutcome> {
@@ -192,7 +205,7 @@ fn assert_parallel_matches_sequential(pl: &PlNetlist, streams: &[Vec<Vec<bool>>]
     let delays = DelayModel::default();
     let sequential = sequential_streams(pl, streams);
     for jobs in WORKER_COUNTS {
-        let par = pl_sim::sweep_streams(pl, &delays, streams, jobs)
+        let par = pl_sim::sweep_streams(pl, &delays, streams, scalar_config(jobs))
             .unwrap_or_else(|e| panic!("{context}: sweep failed at jobs={jobs}: {e}"));
         // StreamOutcome derives PartialEq over outputs, makespan and
         // throughput — this is an exact (bitwise f64) comparison.
@@ -203,9 +216,10 @@ fn assert_parallel_matches_sequential(pl: &PlNetlist, streams: &[Vec<Vec<bool>>]
     let flat: Vec<Vec<bool>> = streams.iter().flatten().cloned().collect();
     if !flat.is_empty() {
         let shard_len = (flat.len() / 3).max(1);
-        let baseline = pl_sim::sweep_sharded(pl, &delays, &flat, shard_len, 1).expect("shards");
+        let baseline =
+            pl_sim::sweep_sharded(pl, &delays, &flat, shard_len, scalar_config(1)).expect("shards");
         for jobs in WORKER_COUNTS {
-            let par = pl_sim::sweep_sharded(pl, &delays, &flat, shard_len, jobs)
+            let par = pl_sim::sweep_sharded(pl, &delays, &flat, shard_len, scalar_config(jobs))
                 .unwrap_or_else(|e| panic!("{context}: sharded sweep failed at jobs={jobs}: {e}"));
             assert_eq!(par, baseline, "{context}: sharded jobs={jobs} diverged");
         }
@@ -262,14 +276,15 @@ fn parallel_sweep_bit_identical_on_random_netlists() {
     }
 }
 
-// ---- checkpoint/resume + pipelined single-stream determinism -----------
+// ---- checkpoint/resume + resumable single-stream determinism -----------
 //
 // The checkpoint subsystem (`pl_sim::SimCheckpoint`) must be invisible to
 // the simulation: a run resumed from a snapshot is bit-identical to the
-// uninterrupted run, and the pipelined single-stream sweep built on it
-// (`pl_sim::sweep_pipelined` — leader pass + window replay workers) must
-// reproduce a sequential `run_stream` exactly — outputs AND f64
-// makespans/throughputs compared bitwise — at every (jobs, window).
+// uninterrupted run, and the crash-resumable sweep built on it
+// (`pl_sim::sweep_resumable` — window checkpoints plus a journal on disk)
+// must reproduce a plain `run_stream` exactly — outputs AND f64
+// makespans/throughputs compared bitwise — at every window size, fresh
+// and after a kill and resume.
 
 /// Asserts that snapshotting `pl` after `split` vectors and resuming on a
 /// fresh simulator reproduces the uninterrupted per-vector run exactly,
@@ -321,13 +336,15 @@ fn assert_checkpoint_resume_identical(pl: &PlNetlist, vecs: &[Vec<bool>], contex
     }
 }
 
-/// Asserts the pipelined sweep reproduces `run_stream` bitwise on `pl`
-/// for every `(jobs, window)` combination given.
-fn assert_pipelined_matches_run_stream(
+/// Asserts the resumable sweep on the `queue` backend reproduces a
+/// heap-engine `run_stream` bitwise on `pl` at every window size given —
+/// on a fresh run, and on a run killed after its first journal append
+/// and then resumed.
+fn assert_resumable_matches_run_stream(
     pl: &PlNetlist,
     vecs: &[Vec<bool>],
     windows: &[usize],
-    jobs_counts: &[usize],
+    queue: QueueKind,
     context: &str,
 ) {
     let delays = DelayModel::default();
@@ -336,16 +353,38 @@ fn assert_pipelined_matches_run_stream(
         .run_stream(vecs)
         .expect("streams");
     for &window in windows {
-        for &jobs in jobs_counts {
-            let piped =
-                pl_sim::sweep_pipelined(pl, &delays, vecs, window, jobs).unwrap_or_else(|e| {
-                    panic!("{context}: pipelined sweep failed at window={window} jobs={jobs}: {e}")
-                });
-            // StreamOutcome's PartialEq covers outputs, makespan and
-            // throughput — an exact f64 comparison, no tolerance.
+        let opts = ResumableOptions {
+            window,
+            queue,
+            ..ResumableOptions::default()
+        };
+        let dir = TempDir::new("eq");
+        let fresh = pl_sim::sweep_resumable(pl, &delays, vecs, dir.path(), &opts)
+            .unwrap_or_else(|e| panic!("{context}: sweep failed at window={window}: {e}"));
+        // StreamOutcome's PartialEq covers outputs, makespan and
+        // throughput — an exact f64 comparison, no tolerance.
+        assert_eq!(
+            fresh.outcome, baseline,
+            "{context}: window={window} diverged from run_stream"
+        );
+
+        let dir = TempDir::new("eq");
+        let faults = pl_sim::FaultPlan::new();
+        faults.halt_after_journal_appends(1);
+        let halted =
+            pl_sim::sweep_resumable_with_faults(pl, &delays, vecs, dir.path(), &opts, &faults);
+        // A stream of one window completes before a second append.
+        assert_eq!(halted.is_err(), vecs.len() > window, "{context}: halt");
+        if halted.is_err() {
+            let resume = ResumableOptions {
+                resume: true,
+                ..opts
+            };
+            let resumed = pl_sim::sweep_resumable(pl, &delays, vecs, dir.path(), &resume)
+                .unwrap_or_else(|e| panic!("{context}: resume failed at window={window}: {e}"));
             assert_eq!(
-                piped, baseline,
-                "{context}: window={window} jobs={jobs} diverged from run_stream"
+                resumed.outcome, baseline,
+                "{context}: window={window} resumed run diverged from run_stream"
             );
         }
     }
@@ -362,48 +401,50 @@ fn checkpoint_resume_bit_identical_on_itc99_suite() {
     }
 }
 
-/// Pipelined-vs-sequential across the full ITC'99 suite (plain + EE) at
-/// several window sizes and worker counts.
+/// Resumable-vs-sequential across the full ITC'99 suite (plain + EE) at
+/// several window sizes.
 #[test]
-fn pipelined_sweep_bit_identical_on_itc99_suite() {
+fn resumable_sweep_bit_identical_on_itc99_suite() {
     for bench in pl_itc99::catalog() {
         let (plain, ee) = itc99_netlists(bench.id);
         let vecs = vectors(plain.input_gates().len(), 9, seed_for(bench.id, 0x9199));
-        assert_pipelined_matches_run_stream(
-            &plain,
-            &vecs,
-            &[2, 5],
-            &[2, 4],
-            &format!("{} plain", bench.id),
-        );
-        assert_pipelined_matches_run_stream(
-            &ee,
-            &vecs,
-            &[2, 5],
-            &[2, 4],
-            &format!("{} ee", bench.id),
-        );
+        for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
+            assert_resumable_matches_run_stream(
+                netlist,
+                &vecs,
+                &[2, 5],
+                QueueKind::Heap,
+                &format!("{} {label}", bench.id),
+            );
+        }
     }
 }
 
-/// The small benchmarks additionally sweep the full worker/window grid,
+/// The small benchmarks additionally sweep the full window grid,
 /// including the degenerate single-vector window and a window larger than
 /// the whole stream.
 #[test]
-fn pipelined_sweep_full_grid_on_small_benchmarks() {
+fn resumable_sweep_full_grid_on_small_benchmarks() {
     for id in ["b01", "b03", "b06", "b09"] {
         let (plain, ee) = itc99_netlists(id);
         let vecs = vectors(plain.input_gates().len(), 10, seed_for(id, 0x6121D));
         let windows = [1, 2, 3, vecs.len() + 5];
-        let jobs = [1, 2, 4, 8];
-        assert_pipelined_matches_run_stream(&plain, &vecs, &windows, &jobs, &format!("{id} plain"));
-        assert_pipelined_matches_run_stream(&ee, &vecs, &windows, &jobs, &format!("{id} ee"));
+        for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
+            let context = format!("{id} {label}");
+            assert_resumable_matches_run_stream(
+                netlist,
+                &vecs,
+                &windows,
+                QueueKind::Heap,
+                &context,
+            );
+        }
     }
 }
 
-/// Randomized netlists through the checkpoint and pipelined harnesses.
+/// Randomized netlists through the checkpoint and resumable harnesses.
 #[test]
-fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
+fn checkpoint_and_resumable_bit_identical_on_random_netlists() {
     let mut rng = Lcg::new(0xC4EC_4501_21D0_0003);
     let mut tested = 0;
     while tested < 8 {
@@ -418,10 +459,39 @@ fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
         let vecs = vectors(mapped.inputs().len(), 8, rng.next_u64());
         assert_checkpoint_resume_identical(&plain, &vecs, "random plain");
         assert_checkpoint_resume_identical(&ee, &vecs, "random ee");
-        assert_pipelined_matches_run_stream(&plain, &vecs, &[1, 3], &[2, 8], "random plain");
-        assert_pipelined_matches_run_stream(&ee, &vecs, &[1, 3], &[2, 8], "random ee");
+        let heap = QueueKind::Heap;
+        assert_resumable_matches_run_stream(&plain, &vecs, &[1, 3], heap, "random plain");
+        assert_resumable_matches_run_stream(&ee, &vecs, &[1, 3], heap, "random ee");
         tested += 1;
     }
+}
+
+/// A checkpoint holds only the rounds still in flight, so its size does
+/// not grow with the stream position: on a long b14 stream the largest
+/// `window-*.ck` stays within 25 % of the smallest.
+#[test]
+fn resumable_checkpoints_do_not_grow_with_stream_position() {
+    let (plain, _) = itc99_netlists("b14");
+    let vecs = vectors(plain.input_gates().len(), 400, seed_for("b14", 0x5123));
+    let dir = TempDir::new("eq");
+    let opts = ResumableOptions {
+        window: 10,
+        ..ResumableOptions::default()
+    };
+    pl_sim::sweep_resumable(&plain, &DelayModel::default(), &vecs, dir.path(), &opts)
+        .expect("sweeps");
+    let sizes: Vec<u64> = std::fs::read_dir(dir.path())
+        .expect("lists")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ck"))
+        .map(|p| std::fs::metadata(p).expect("stat").len())
+        .collect();
+    assert_eq!(sizes.len(), 39, "one checkpoint per inner window boundary");
+    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+    assert!(
+        *max * 4 <= *min * 5,
+        "checkpoints grew with the stream: {min} B to {max} B"
+    );
 }
 
 // ---- ladder-vs-heap event-queue determinism ----------------------------
@@ -431,10 +501,8 @@ fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
 // calendar/ladder queue produces outcomes bit-identical — outputs AND f64
 // latencies/makespans/timestamps compared exactly — to the binary-heap
 // backend, checkpoints are portable between backends in both directions,
-// and the pipelined sweep on the ladder reproduces the heap-sequential
-// stream at every worker count.
-
-use pl_sim::QueueKind;
+// and the resumable sweep on the ladder reproduces the heap-sequential
+// stream.
 
 /// Per-vector fingerprint used by the cross-backend harnesses: outputs
 /// plus exact latency/timestamp bits.
@@ -574,34 +642,16 @@ fn checkpoints_are_queue_kind_portable() {
     }
 }
 
-/// The pipelined single-stream sweep on the ladder backend reproduces the
-/// heap-sequential `run_stream` bitwise at 1/2/4 workers.
+/// The resumable sweep on the ladder backend reproduces the
+/// heap-sequential `run_stream` bitwise, fresh and resumed.
 #[test]
-fn pipelined_sweep_on_ladder_matches_heap_run_stream() {
+fn resumable_sweep_on_ladder_matches_heap_run_stream() {
     for id in ["b03", "b06", "b11", "b14"] {
         let (plain, ee) = itc99_netlists(id);
         let vecs = vectors(plain.input_gates().len(), 8, seed_for(id, 0x1ADD_9199));
-        let delays = DelayModel::default();
         for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
-            let baseline = PlSimulator::with_queue(netlist, delays.clone(), QueueKind::Heap)
-                .expect("builds")
-                .run_stream(&vecs)
-                .expect("streams");
-            for jobs in [1, 2, 4] {
-                let piped = pl_sim::sweep_pipelined_with_queue(
-                    netlist,
-                    &delays,
-                    &vecs,
-                    3,
-                    jobs,
-                    QueueKind::Ladder,
-                )
-                .unwrap_or_else(|e| panic!("{id} {label}: ladder pipeline failed: {e}"));
-                assert_eq!(
-                    piped, baseline,
-                    "{id} {label}: ladder pipelined jobs={jobs} diverged from heap run_stream"
-                );
-            }
+            let context = format!("{id} {label} ladder");
+            assert_resumable_matches_run_stream(netlist, &vecs, &[3], QueueKind::Ladder, &context);
         }
     }
 }
@@ -717,9 +767,13 @@ proptest! {
         for (i, v) in all.iter().enumerate() {
             subs[i % 64].push(v.clone());
         }
-        let batch = pl_sim::sweep_streams_batch(&pl, &delays, &subs, jobs)
+        let batch_config = SweepConfig {
+            lanes: 64,
+            ..scalar_config(jobs)
+        };
+        let batch = pl_sim::sweep_streams(&pl, &delays, &subs, batch_config)
             .expect("batch sweep runs");
-        let scalar = pl_sim::sweep_streams(&pl, &delays, &subs, jobs)
+        let scalar = pl_sim::sweep_streams(&pl, &delays, &subs, scalar_config(jobs))
             .expect("scalar sweep runs");
         prop_assert_eq!(batch.len(), scalar.len());
         for (b, s) in batch.iter().zip(&scalar) {

@@ -485,3 +485,53 @@ fn daemon_rejects_every_cli_rejected_combination() {
     shutdown(addr);
     handle.join().expect("server thread");
 }
+
+/// Regression: a Compile asking for more vectors than a run may simulate
+/// used to abort the daemon while allocating the vector stream. It must
+/// get a typed `ERR_OPTIONS` answer, and the same daemon must then answer
+/// the next request.
+#[test]
+fn huge_vector_count_is_rejected_and_daemon_survives() {
+    let (addr, handle) = start_server(2);
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let huge = RequestOptions {
+        vectors: 100_000_000_000,
+        ..RequestOptions::default()
+    };
+    match client
+        .request(&Request::Compile {
+            design: DesignSpec::Spec("b01".into()),
+            options: huge,
+        })
+        .expect("transport ok")
+    {
+        Response::Error { code, message } => {
+            assert_eq!(code, pl_serve::proto::ERR_OPTIONS, "{message}");
+            assert!(
+                message.contains("--vectors 100000000000 is above the maximum"),
+                "{message}"
+            );
+        }
+        other => panic!("expected an options error, got {other:?}"),
+    }
+    let (digest, _) = compile_digest(
+        addr,
+        &DesignSpec::Spec("b01".into()),
+        &RequestOptions {
+            vectors: 10,
+            ..RequestOptions::default()
+        },
+    );
+    assert_eq!(
+        digest,
+        in_process_digest(
+            &DesignSpec::Spec("b01".into()),
+            &RequestOptions {
+                vectors: 10,
+                ..RequestOptions::default()
+            }
+        )
+    );
+    shutdown(addr);
+    handle.join().expect("server thread");
+}
