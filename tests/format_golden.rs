@@ -1,14 +1,15 @@
-//! Golden bytes for the on-disk formats a resumable sweep leaves behind:
-//! `sweep.meta`, the completed-window journal, and the `SimCheckpoint`
-//! wire encodings at both lane widths (version 1 for the scalar engine,
-//! version 2 for the 64-lane batch engine).
+//! Golden bytes for the on-disk formats a resumable sweep leaves behind
+//! (`sweep.meta`, the completed-window journal, and the `SimCheckpoint`
+//! wire encodings at both lane widths: version 1 for the scalar engine,
+//! version 2 for the 64-lane batch engine) and for the `pld` daemon's
+//! PLD1 frames (every request and response kind that carries a payload).
 //!
 //! Each file under `tests/golden/formats/` is a hex dump (16 bytes per
-//! line) of bytes produced from a fixed small netlist, a fixed delay
-//! model and a fixed vector prefix. A refactor of the sweep or the
-//! engine that keeps these tests green has, by construction, not changed
-//! a byte on disk. A deliberate format change bumps the format version
-//! and regenerates the dumps with
+//! line) of bytes produced from fixed inputs: a small netlist, a delay
+//! model and a vector prefix for the sweep formats, fixed messages for
+//! PLD1. A refactor that keeps these tests green has, by construction,
+//! not changed a byte on disk or on the wire. A deliberate format change
+//! bumps the format version and regenerates the dumps with
 //! `UPDATE_GOLDEN=1 cargo test --test format_golden`.
 
 use std::path::{Path, PathBuf};
@@ -170,4 +171,118 @@ fn batch_checkpoint_bytes_are_pinned() {
     let decoded = SimCheckpoint::<u64>::from_bytes(&bytes, &pl, &delays).unwrap();
     assert_eq!(decoded, ck);
     assert_eq!(decoded.to_bytes(&delays), bytes);
+}
+
+/// One full PLD1 frame (magic, kind, length, payload, CRC32) exactly as
+/// `pl_serve::wire::write_frame` puts it on the socket.
+fn pld1_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    pl_serve::wire::write_frame(&mut frame, kind, payload).unwrap();
+    frame
+}
+
+/// PLD1 request frames: a Compile with every option off its default, and
+/// an Eco on an inline BLIF design with two edits. Each pinned frame must
+/// also decode back to the request it was made from.
+#[test]
+fn pld1_request_frames_are_pinned() {
+    use pl_serve::{DesignSpec, Request, RequestOptions};
+    let compile = Request::Compile {
+        design: DesignSpec::Spec("b06".into()),
+        options: RequestOptions {
+            vectors: 60,
+            seed: 7,
+            jobs: 2,
+            lut_size: 5,
+            threshold: 0.25,
+            ee: true,
+            verify: true,
+            optimize: true,
+            no_lint: true,
+            queue: pl_flow::QueueKind::Ladder,
+            window: Some(4),
+            lanes: Some(64),
+        },
+    };
+    let eco = Request::Eco {
+        design: DesignSpec::BlifText {
+            name: "t".into(),
+            text: ".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n".into(),
+        },
+        options: RequestOptions::default(),
+        edits: vec!["table:n2:0x6".into(), "rewire:n2:0:n1".into()],
+    };
+    for (file, request) in [("pld1_compile.hex", compile), ("pld1_eco.hex", eco)] {
+        let (kind, payload) = request.encode();
+        check_golden(file, &pld1_frame(kind, &payload));
+        assert_eq!(Request::decode(kind, &payload).unwrap(), request);
+    }
+}
+
+/// PLD1 response frames: `CompileOk`, `EcoOk`, `StatsOk` and `Error`.
+#[test]
+fn pld1_response_frames_are_pinned() {
+    use pl_serve::{DigestTriple, EcoEditResult, Response, ServerStats};
+    let triple = |k: u64| DigestTriple {
+        mapped_fp: 0x0123_4567_89AB_CDEF ^ k,
+        phased_fp: 0xFEDC_BA98_7654_3210 ^ k,
+        outputs_digest: 0x0F1E_2D3C_4B5A_6978 ^ k,
+    };
+    let responses = [
+        (
+            "pld1_compile_ok.hex",
+            Response::CompileOk {
+                name: "b06".into(),
+                cache_hit: true,
+                luts: 41,
+                gates: 57,
+                pairs: 9,
+                digest: triple(0),
+            },
+        ),
+        (
+            "pld1_eco_ok.hex",
+            Response::EcoOk {
+                name: "b06".into(),
+                cache_hit: false,
+                initial: triple(1),
+                edits: vec![
+                    EcoEditResult {
+                        spec: "table:n8:0x6".into(),
+                        dirty_nodes: 12,
+                        digest: triple(2),
+                    },
+                    EcoEditResult {
+                        spec: "rewire:n12:0:n5".into(),
+                        dirty_nodes: 3,
+                        digest: triple(3),
+                    },
+                ],
+            },
+        ),
+        (
+            "pld1_stats_ok.hex",
+            Response::StatsOk(ServerStats {
+                entries: 3,
+                capacity: 8,
+                hits: 21,
+                misses: 5,
+                evictions: 1,
+                eco_edits: 7,
+                malformed: 2,
+            }),
+        ),
+        (
+            "pld1_error.hex",
+            Response::Error {
+                code: pl_serve::proto::ERR_OPTIONS,
+                message: "--window must be at least 1".into(),
+            },
+        ),
+    ];
+    for (file, response) in responses {
+        let (kind, payload) = response.encode();
+        check_golden(file, &pld1_frame(kind, &payload));
+        assert_eq!(Response::decode(kind, &payload).unwrap(), response);
+    }
 }
