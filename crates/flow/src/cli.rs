@@ -62,7 +62,7 @@ pub enum CliError {
 /// Successfully parsed arguments.
 #[derive(Debug, Clone)]
 pub struct ParsedArgs {
-    usage: String,
+    spec: CliSpec,
     values: Vec<(&'static str, String)>,
     flags: Vec<&'static str>,
     /// Positional arguments in order.
@@ -117,7 +117,7 @@ impl CliSpec {
     /// unknown flag, a missing value, or a positional-policy violation.
     pub fn parse(&self, args: &[String]) -> Result<ParsedArgs, CliError> {
         let mut parsed = ParsedArgs {
-            usage: self.help(),
+            spec: *self,
             values: Vec::new(),
             flags: Vec::new(),
             positionals: Vec::new(),
@@ -182,18 +182,28 @@ impl CliSpec {
     #[must_use]
     pub fn parse_env(&self) -> ParsedArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match self.parse(&args) {
+        self.parse_or_exit(&args)
+    }
+
+    /// [`CliSpec::parse`], printing help to stdout (exit 0) or a usage
+    /// error to stderr (exit 2) as appropriate.
+    #[must_use]
+    pub fn parse_or_exit(&self, args: &[String]) -> ParsedArgs {
+        match self.parse(args) {
             Ok(parsed) => parsed,
             Err(CliError::Help(text)) => {
                 println!("{text}");
                 std::process::exit(0);
             }
-            Err(CliError::Usage(msg)) => {
-                eprintln!("error: {msg}\n");
-                eprintln!("{}", self.help());
-                std::process::exit(2);
-            }
+            Err(CliError::Usage(msg)) => self.exit_usage(&msg),
         }
+    }
+
+    /// Prints `error: <msg>` and the help text to stderr, then exits 2.
+    pub fn exit_usage(&self, msg: &str) -> ! {
+        eprintln!("error: {msg}\n");
+        eprintln!("{}", self.help());
+        std::process::exit(2);
     }
 }
 
@@ -252,12 +262,14 @@ impl ParsedArgs {
     pub fn value_opt<T: std::str::FromStr>(&self, long: &str) -> Option<T> {
         match self.value::<T>(long) {
             Ok(v) => v,
-            Err(CliError::Usage(msg)) | Err(CliError::Help(msg)) => {
-                eprintln!("error: {msg}\n");
-                eprintln!("{}", self.usage);
-                std::process::exit(2);
-            }
+            Err(CliError::Usage(msg)) | Err(CliError::Help(msg)) => self.exit_usage(&msg),
         }
+    }
+
+    /// [`CliSpec::exit_usage`] with the spec these arguments were parsed
+    /// against.
+    pub fn exit_usage(&self, msg: &str) -> ! {
+        self.spec.exit_usage(msg)
     }
 }
 

@@ -31,8 +31,8 @@ use pl_techmap::{MapMemo, ReusePlan};
 
 use crate::error::FlowError;
 use crate::pipeline::{
-    FlowArtifacts, FlowReport, IngestReport, Ingested, LintStageReport, Mapped, OptimizeReport,
-    Pipeline,
+    FlowArtifacts, FlowOptions, FlowReport, IngestReport, Ingested, LintStageReport, Mapped,
+    OptimizeReport, Pipeline, Simulated, VerifyReport,
 };
 use crate::source::CircuitSource;
 
@@ -409,10 +409,59 @@ impl EcoSession {
         &self.artifacts
     }
 
-    /// The pipeline the session compiles with (fixed for the session).
+    /// The pipeline the session compiles with. Its compile fields are
+    /// fixed for the session; its simulation fields follow
+    /// [`EcoSession::retarget`].
     #[must_use]
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
+    }
+
+    /// Sweeps the retained compile again under `opts`' simulation fields
+    /// (`vectors`, `seed`, `jobs`, `queue`, `window`, `lanes`,
+    /// `checkpoint_dir`, `resume` and `verify`), and verifies it when
+    /// `opts.verify` is set, without changing the session. Every other
+    /// field stays the session's, so the sweep runs over exactly the
+    /// netlists the session compiled; the result equals the sweep of a
+    /// fresh compile under `opts`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::simulate`] and [`Pipeline::verify`].
+    pub fn resweep(
+        &self,
+        opts: &FlowOptions,
+    ) -> Result<(Simulated, Option<VerifyReport>), FlowError> {
+        let art = &self.artifacts;
+        Pipeline::new(self.pipeline.opts().with_simulation_of(opts)).simulate_and_verify(
+            &art.name,
+            &art.plain,
+            art.ee.as_ref(),
+            &art.mapped,
+        )
+    }
+
+    /// Re-targets the session to `opts`' simulation fields: the retained
+    /// artifacts take the [`EcoSession::resweep`] under them, and every
+    /// later [`EcoSession::apply_eco`] sweeps the same way. The session
+    /// then equals one compiled under those options.
+    ///
+    /// # Errors
+    ///
+    /// As [`EcoSession::resweep`]; the session is unchanged on error.
+    pub fn retarget(&mut self, opts: &FlowOptions) -> Result<(), FlowError> {
+        let (sim, verify) = self.resweep(opts)?;
+        self.pipeline = Pipeline::new(self.pipeline.opts().with_simulation_of(opts));
+        let art = &mut self.artifacts;
+        art.inputs = sim.inputs;
+        art.outputs = sim.outputs;
+        art.stats_plain = sim.stats_plain;
+        art.stats_ee = sim.stats_ee;
+        art.stream_plain = sim.stream_plain;
+        art.stream_ee = sim.stream_ee;
+        art.report.simulate = sim.report;
+        art.report.verify = verify;
+        Ok(())
     }
 
     /// The current (post-edit) source netlist.
@@ -576,10 +625,11 @@ impl EcoSession {
         };
 
         // Downstream skip: the mapped netlist is the sole input of every
-        // later stage (options are fixed for the session), so an unchanged
-        // map means every retained artifact is reusable verbatim. The
-        // fingerprint is the fast reject; a full equality compare confirms
-        // (the contract tolerates no 64-bit collisions).
+        // later stage (the retained sweep ran under the session's current
+        // options), so an unchanged map means every retained artifact is
+        // reusable verbatim. The fingerprint is the fast reject; a full
+        // equality compare confirms (the contract tolerates no 64-bit
+        // collisions).
         if mapped.fingerprint == self.mapped_fp && mapped.netlist == self.artifacts.mapped {
             let flow = FlowReport {
                 ingest: ingest_report,
@@ -645,12 +695,12 @@ fn downstream(
         None
     };
     let early = p.early_eval_cached(phased, cache);
-    let sim = p.simulate(&early)?;
-    let verify = if p.opts().verify {
-        Some(p.verify(&mapped.netlist, &sim)?)
-    } else {
-        None
-    };
+    let (sim, verify) = p.simulate_and_verify(
+        &early.name,
+        &early.plain,
+        early.ee.as_ref(),
+        &mapped.netlist,
+    )?;
     Ok((
         FlowArtifacts {
             name: early.name.clone(),
@@ -683,7 +733,6 @@ fn downstream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::FlowOptions;
 
     fn session(name: &str) -> EcoSession {
         let pipeline = Pipeline::new(FlowOptions {
@@ -777,6 +826,49 @@ mod tests {
         // And the session still compiles a good batch afterwards.
         let out = s.apply_eco(&[]).unwrap();
         assert!(out.eco.downstream_skipped, "no-op batch reuses everything");
+    }
+
+    /// A session re-targeted to other simulation options answers like one
+    /// compiled under them, before and after an edit; the compile fields
+    /// are the session's whatever the new options say.
+    #[test]
+    fn retarget_matches_a_session_compiled_under_the_new_options() {
+        let opts = FlowOptions {
+            vectors: 12,
+            seed: 5,
+            lanes: Some(64),
+            ..FlowOptions::default()
+        };
+        let source = CircuitSource::catalog("b04").unwrap();
+        let mut fresh = Pipeline::new(opts.clone()).eco_session(&source).unwrap();
+        let mut moved = session("b04");
+        moved
+            .retarget(&FlowOptions {
+                ee_enabled: false,
+                ..opts
+            })
+            .unwrap();
+        assert!(moved.pipeline().opts().ee_enabled, "compile fields stay");
+        assert_eq!(moved.pipeline().opts().lanes, Some(64));
+        let (id, table) = moved
+            .netlist()
+            .iter()
+            .find_map(|(id, node)| Some((id, node.lut_table()?.bits())))
+            .unwrap();
+        let spec = format!("table:n{}:{:x}", id.index(), table ^ 1);
+        let edit = [EcoEdit::parse(&spec).unwrap()];
+        for round in 0..3 {
+            let (a, b) = (moved.artifacts(), fresh.artifacts());
+            assert_eq!(a.inputs, b.inputs, "round {round}");
+            assert_eq!(a.outputs, b.outputs, "round {round}");
+            assert_eq!(a.report.simulate.lanes, b.report.simulate.lanes);
+            assert_eq!(a.report.verify.is_some(), b.report.verify.is_some());
+            // Round 0 recompiles downstream; repeating the same table edit
+            // changes nothing, so later rounds reuse it.
+            let skipped = moved.apply_eco(&edit).unwrap().eco.downstream_skipped;
+            assert_eq!(skipped, round > 0);
+            fresh.apply_eco(&edit).unwrap();
+        }
     }
 
     #[test]

@@ -346,6 +346,40 @@ mod tests {
         .unwrap();
     }
 
+    /// Regression: the simulate stage generates its whole vector stream up
+    /// front, one byte per input bit, so a wide design must be bounded by
+    /// vectors times inputs, not by the vector count alone. 65,537 vectors
+    /// pass `validate()` but, on 1,024 inputs, are one vector past the
+    /// input-bit cap.
+    #[test]
+    fn vector_stream_above_the_input_bit_cap_is_a_typed_error() {
+        let mut n = pl_netlist::Netlist::new("wide");
+        let inputs: Vec<_> = (0..1024).map(|i| n.add_input(format!("i{i}"))).collect();
+        let y = n.add_xor2(inputs[0], inputs[1]).unwrap();
+        n.set_output("y", y);
+        let vectors = FlowOptions::MAX_INPUT_BITS / 1024 + 1;
+        let mut opts = FlowOptions {
+            vectors,
+            window: Some(vectors),
+            ee_enabled: false,
+            verify: false,
+            ..FlowOptions::default()
+        };
+        opts.lint.enabled = false;
+        opts.validate().unwrap();
+        let source = CircuitSource::Netlist {
+            name: "wide".into(),
+            netlist: n,
+        };
+        match Pipeline::new(opts).run(&source) {
+            Err(FlowError::Options { message }) => assert_eq!(
+                message,
+                "--vectors 65537 with 1024 primary inputs is above the maximum of 67108864 input bits per run"
+            ),
+            other => panic!("expected FlowError::Options, got {:?}", other.map(|a| a.name)),
+        }
+    }
+
     #[test]
     fn random_source_runs_end_to_end() {
         let pipeline = Pipeline::new(FlowOptions {

@@ -183,10 +183,35 @@ impl Default for FlowOptions {
 }
 
 impl FlowOptions {
-    /// The most vectors one run may simulate (2^20). The vector stream is
-    /// generated up front, so this bounds a run's memory; it sits far
-    /// above any count the paper's protocol or the benchmarks use.
+    /// The most vectors one run may simulate (2^20). It sits far above
+    /// any count the paper's protocol or the benchmarks use.
     pub const MAX_VECTORS: usize = 1 << 20;
+
+    /// The most input bits one run may simulate (2^26): vectors times
+    /// primary inputs. The vector stream is generated up front, one byte
+    /// per bit, so this bounds a run's memory where [`Self::MAX_VECTORS`]
+    /// alone does not; the simulate stage checks it before generating.
+    pub const MAX_INPUT_BITS: usize = 1 << 26;
+
+    /// These options with `sim`'s simulation fields: `vectors`, `seed`,
+    /// `jobs`, `queue`, `window`, `lanes`, `checkpoint_dir`, `resume` and
+    /// `verify`. Every other field fixes what a compile produces (mapped
+    /// and phased netlists, EE pairs), so it stays as in `self`.
+    #[must_use]
+    pub(crate) fn with_simulation_of(&self, sim: &FlowOptions) -> FlowOptions {
+        FlowOptions {
+            vectors: sim.vectors,
+            seed: sim.seed,
+            jobs: sim.jobs,
+            queue: sim.queue,
+            window: sim.window,
+            lanes: sim.lanes,
+            checkpoint_dir: sim.checkpoint_dir.clone(),
+            resume: sim.resume,
+            verify: sim.verify,
+            ..self.clone()
+        }
+    }
 
     /// Rejects out-of-range options and inconsistent option combinations
     /// with a typed [`FlowError::Options`] — the same ones `plc` rejects
@@ -854,18 +879,34 @@ impl Pipeline {
     ///
     /// Simulator failures; [`FlowError::Mismatch`] if EE ever changed a
     /// value (must never happen); [`FlowError::Options`] for an
-    /// inconsistent option combination (see
-    /// [`FlowOptions::validate`]).
+    /// inconsistent option combination (see [`FlowOptions::validate`]) or
+    /// a vector stream above [`FlowOptions::MAX_INPUT_BITS`].
     pub fn simulate(&self, ee: &EarlyEvaled) -> Result<Simulated, FlowError> {
+        self.simulate_netlists(&ee.name, &ee.plain, ee.ee.as_ref())
+    }
+
+    /// [`Pipeline::simulate`] over borrowed netlists.
+    fn simulate_netlists(
+        &self,
+        name: &str,
+        plain: &PlNetlist,
+        ee: Option<&PlNetlist>,
+    ) -> Result<Simulated, FlowError> {
         let t0 = Instant::now();
         // Caught here so library callers get a typed error instead of
         // the sweep's panic (plc delegates to the same check).
         self.opts.validate()?;
-        let inputs = pl_sim::random_vectors(
-            ee.plain.input_gates().len(),
-            self.opts.vectors,
-            self.opts.seed,
-        );
+        let width = plain.input_gates().len();
+        if self.opts.vectors.saturating_mul(width) > FlowOptions::MAX_INPUT_BITS {
+            return Err(FlowError::Options {
+                message: format!(
+                    "--vectors {} with {width} primary inputs is above the maximum of {} input bits per run",
+                    self.opts.vectors,
+                    FlowOptions::MAX_INPUT_BITS
+                ),
+            });
+        }
+        let inputs = pl_sim::random_vectors(width, self.opts.vectors, self.opts.seed);
         let report = SimReport {
             vectors: self.opts.vectors,
             jobs: self.opts.jobs,
@@ -898,20 +939,20 @@ impl Pipeline {
                     .map(|i| outs[i % 64].outputs[i / 64].clone())
                     .collect()
             };
-            let outputs = reassemble(&sweep(&ee.plain)?);
-            if let Some(pl) = &ee.ee {
+            let outputs = reassemble(&sweep(plain)?);
+            if let Some(pl) = ee {
                 if reassemble(&sweep(pl)?) != outputs {
                     return Err(FlowError::Mismatch {
-                        context: format!("{} (EE vs plain, {lanes}-lane)", ee.name),
+                        context: format!("{name} (EE vs plain, {lanes}-lane)"),
                     });
                 }
             }
             return Ok(Simulated {
-                name: ee.name.clone(),
+                name: name.to_string(),
                 inputs,
                 outputs,
                 stats_plain: LatencyStats::new(Vec::new()),
-                stats_ee: ee.ee.as_ref().map(|_| LatencyStats::new(Vec::new())),
+                stats_ee: ee.map(|_| LatencyStats::new(Vec::new())),
                 stream_plain: None,
                 stream_ee: None,
                 report: SimReport {
@@ -920,12 +961,12 @@ impl Pipeline {
                 },
             });
         }
-        let variants: Vec<(&PlNetlist, &str)> = std::iter::once((&ee.plain, "plain"))
-            .chain(ee.ee.as_ref().map(|pl| (pl, "ee")))
+        let variants: Vec<(&PlNetlist, &str)> = std::iter::once((plain, "plain"))
+            .chain(ee.map(|pl| (pl, "ee")))
             .collect();
         let results =
-            pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, &(pl, name)| {
-                self.simulate_variant(pl, &inputs, name)
+            pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, &(pl, variant)| {
+                self.simulate_variant(pl, &inputs, variant)
             });
         let mut runs = Vec::with_capacity(results.len());
         for r in results {
@@ -940,7 +981,7 @@ impl Pipeline {
                 ""
             };
             return Err(FlowError::Mismatch {
-                context: format!("{} (EE vs plain{protocol})", ee.name),
+                context: format!("{name} (EE vs plain{protocol})"),
             });
         }
         let (stats_ee, stream_ee, recovery_ee) = match ee_run {
@@ -948,7 +989,7 @@ impl Pipeline {
             None => (None, None, None),
         };
         Ok(Simulated {
-            name: ee.name.clone(),
+            name: name.to_string(),
             inputs,
             outputs: plain.outputs,
             stats_plain: plain.stats,
@@ -962,6 +1003,26 @@ impl Pipeline {
                 ..report
             },
         })
+    }
+
+    /// Simulates `plain` (and `ee`) and, when [`FlowOptions::verify`] is
+    /// set, checks the outputs against `mapped`: the back end of
+    /// [`Pipeline::run`], of every ECO recompile and of
+    /// [`crate::EcoSession::resweep`].
+    pub(crate) fn simulate_and_verify(
+        &self,
+        name: &str,
+        plain: &PlNetlist,
+        ee: Option<&PlNetlist>,
+        mapped: &Netlist,
+    ) -> Result<(Simulated, Option<VerifyReport>), FlowError> {
+        let sim = self.simulate_netlists(name, plain, ee)?;
+        let verify = if self.opts.verify {
+            Some(self.verify(mapped, &sim)?)
+        } else {
+            None
+        };
+        Ok((sim, verify))
     }
 
     /// Simulates one variant under the per-vector protocol, or under the
@@ -1078,12 +1139,12 @@ impl Pipeline {
             None
         };
         let early = self.early_eval(phased);
-        let sim = self.simulate(&early)?;
-        let verify = if self.opts.verify {
-            Some(self.verify(&mapped.netlist, &sim)?)
-        } else {
-            None
-        };
+        let (sim, verify) = self.simulate_and_verify(
+            &early.name,
+            &early.plain,
+            early.ee.as_ref(),
+            &mapped.netlist,
+        )?;
         Ok(FlowArtifacts {
             name: early.name.clone(),
             report: FlowReport {

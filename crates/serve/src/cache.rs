@@ -1,23 +1,25 @@
 //! The compiled-netlist LRU cache behind the daemon.
 //!
-//! Keyed by `(source digest, options fingerprint)` — see
+//! Keyed by `(source digest, compile key)` — see
 //! [`crate::proto::DesignSpec::digest`] and
-//! [`crate::proto::RequestOptions::fingerprint`] — each entry holds a
+//! [`crate::proto::RequestOptions::compile_key`] — each entry holds a
 //! pristine warm [`EcoSession`] (the full compile: memoized cuts,
 //! trigger cache, artifacts) behind an `Arc`, so any number of
 //! concurrent sessions can read the shared compiled artifact while the
 //! cache itself is only locked for the constant-time lookup/insert.
+//! Requests that differ only in their sweep options share an entry.
 //!
 //! Eviction is strict LRU on a logical tick that increments on every
 //! touch, with the key as a total-order tie-break — fully
 //! deterministic for a sequential request trace, which is what the
 //! equivalence tests pin.
 
+use crate::proto::RequestOptions;
 use pl_flow::EcoSession;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Cache key: design identity × full option fingerprint.
+/// Cache key: design identity × compile key.
 pub type CacheKey = (u64, u64);
 
 /// One warm compile, shared read-only across sessions.
@@ -27,19 +29,10 @@ pub struct CompiledState {
     /// clone it, so a cached entry always answers a plain compile with
     /// the un-edited design).
     pub session: EcoSession,
-    /// LUT-mapped synchronous netlist fingerprint.
-    pub mapped_fp: u64,
-    /// Plain phased-logic netlist fingerprint.
-    pub phased_fp: u64,
-    /// Outputs digest of the compile-time sweep (same options as the
-    /// key, so any later sweep under this key must reproduce it).
-    pub outputs_digest: u64,
-    /// LUTs after technology mapping.
-    pub luts: u64,
-    /// Phased-logic gates.
-    pub gates: u64,
-    /// Early-evaluation pairs.
-    pub pairs: u64,
+    /// The options the session was compiled and swept under: a request
+    /// with exactly these options is answered from the session's own
+    /// sweep.
+    pub options: RequestOptions,
 }
 
 struct Slot {
@@ -133,12 +126,7 @@ mod tests {
             .unwrap();
         Arc::new(CompiledState {
             session,
-            mapped_fp: 0,
-            phased_fp: 0,
-            outputs_digest: 0,
-            luts: 0,
-            gates: 0,
-            pairs: 0,
+            options: RequestOptions::default(),
         })
     }
 

@@ -16,14 +16,14 @@
 //!   `FlowOptions::validate` server-side); responses carry the
 //!   deterministic digest lines.
 //! * [`cache`] — an LRU of warm [`pl_flow::EcoSession`]s keyed by
-//!   source digest × options fingerprint, shared across sessions
-//!   behind `Arc`s.
-//! * [`server`] — thread-per-connection [`PldServer`]; cache hits run
-//!   a **per-session simulator** over the shared compiled artifact and
-//!   cross-check the cached digest; ECO requests clone the warm
-//!   session and apply edits as incremental recompiles (ROADMAP item 5
-//!   follow-on: edits hit warm compile state, never a from-scratch
-//!   rebuild).
+//!   source digest × compile key (the five options a compile reads),
+//!   shared across sessions behind `Arc`s.
+//! * [`server`] — thread-per-connection [`PldServer`]; a request with
+//!   the entry's own options is answered from the entry, any other hit
+//!   runs a **per-session sweep** under its own options over the shared
+//!   compiled artifact; ECO requests clone the warm session, re-target
+//!   it to their options and apply edits as incremental recompiles
+//!   (edits hit warm compile state, never a from-scratch rebuild).
 //! * [`client`] — the blocking client used by `plc client`.
 //! * [`digest`] — the digest-line formatting shared with `plc`, so
 //!   "server response ≡ in-process run" is checkable with `diff`.

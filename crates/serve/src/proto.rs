@@ -123,6 +123,10 @@ impl DesignSpec {
 /// The options a request carries — the same knobs as the `plc` command
 /// line, with the same defaults, so a daemon response is comparable
 /// byte-for-byte to an in-process run.
+///
+/// Five fields fix the compile: `lut_size`, `threshold`, `ee`, `optimize`
+/// and `no_lint` (see [`RequestOptions::compile_key`]). The other seven
+/// only configure the sweep over it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestOptions {
     /// Vectors to simulate.
@@ -152,21 +156,35 @@ pub struct RequestOptions {
 }
 
 impl Default for RequestOptions {
+    /// `plc`'s defaults: [`FlowOptions::default`] with EE and verification
+    /// off, as when neither `--ee` nor `--verify` is given.
     fn default() -> Self {
-        let flow = FlowOptions::default();
         RequestOptions {
-            vectors: flow.vectors,
-            seed: flow.seed,
-            jobs: flow.jobs,
-            lut_size: flow.map.lut_size,
-            threshold: flow.ee.cost_threshold,
             ee: false,
             verify: false,
-            optimize: false,
-            no_lint: false,
-            queue: flow.queue,
-            window: None,
-            lanes: None,
+            ..RequestOptions::from(&FlowOptions::default())
+        }
+    }
+}
+
+impl From<&FlowOptions> for RequestOptions {
+    /// The request for a run under `o`, as `plc client` sends it; the
+    /// inverse of [`RequestOptions::to_flow_options`] on every field a
+    /// request carries.
+    fn from(o: &FlowOptions) -> Self {
+        RequestOptions {
+            vectors: o.vectors,
+            seed: o.seed,
+            jobs: o.jobs,
+            lut_size: o.map.lut_size,
+            threshold: o.ee.cost_threshold,
+            ee: o.ee_enabled,
+            verify: o.verify,
+            optimize: o.optimize,
+            no_lint: !o.lint.enabled,
+            queue: o.queue,
+            window: o.window,
+            lanes: o.lanes,
         }
     }
 }
@@ -196,18 +214,16 @@ impl RequestOptions {
         o
     }
 
-    /// Stable digest of every field — the other half of the cache key.
-    pub fn fingerprint(&self) -> u64 {
+    /// Stable digest of the five fields a compile reads — the other half
+    /// of the cache key. Two requests with the same key compile to the
+    /// same netlists and EE pairs, whatever their sweep fields.
+    pub fn compile_key(&self) -> u64 {
         let mut h = Fnv64::new();
-        h.mix(self.vectors as u64);
-        h.mix(self.seed);
-        h.mix(self.jobs as u64);
         h.mix(self.lut_size as u64);
         h.mix(self.threshold.to_bits());
-        h.mix(u64::from(self.flags()));
-        h.mix(u64::from(queue_byte(self.queue)));
-        mix_opt(&mut h, self.window);
-        mix_opt(&mut h, self.lanes);
+        for flag in [self.ee, self.optimize, self.no_lint] {
+            h.mix(u64::from(flag));
+        }
         h.finish()
     }
 
@@ -281,16 +297,6 @@ fn mix_str(h: &mut Fnv64, s: &str) {
     h.mix(s.len() as u64);
     for b in s.bytes() {
         h.mix(u64::from(b));
-    }
-}
-
-fn mix_opt(h: &mut Fnv64, v: Option<usize>) {
-    match v {
-        None => h.mix(0),
-        Some(x) => {
-            h.mix(1);
-            h.mix(x as u64);
-        }
     }
 }
 
@@ -753,16 +759,58 @@ mod tests {
         ));
     }
 
+    /// The cache key splits the twelve fields: each of the seven sweep
+    /// fields (the seed among them) leaves it unchanged, each of the five
+    /// compile fields moves it.
     #[test]
     fn options_fingerprint_separates_fields() {
-        let a = RequestOptions::default();
-        let mut b = a.clone();
-        b.ee = true;
-        let mut c = a.clone();
-        c.seed ^= 1;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_eq!(a.fingerprint(), RequestOptions::default().fingerprint());
+        let base = RequestOptions::default();
+        let key = |change: fn(&mut RequestOptions)| {
+            let mut o = base.clone();
+            change(&mut o);
+            assert_ne!(o, base);
+            o.compile_key()
+        };
+        let sweep: [fn(&mut RequestOptions); 7] = [
+            |o| o.vectors += 1,
+            |o| o.seed ^= 1,
+            |o| o.jobs = 4,
+            |o| o.queue = QueueKind::Ladder,
+            |o| o.window = Some(4),
+            |o| o.lanes = Some(64),
+            |o| o.verify = true,
+        ];
+        let compile: [fn(&mut RequestOptions); 5] = [
+            |o| o.lut_size = 3,
+            |o| o.threshold = 0.5,
+            |o| o.ee = true,
+            |o| o.optimize = true,
+            |o| o.no_lint = true,
+        ];
+        for (i, change) in sweep.into_iter().enumerate() {
+            assert_eq!(key(change), base.compile_key(), "sweep field {i}");
+        }
+        for (i, change) in compile.into_iter().enumerate() {
+            assert_ne!(key(change), base.compile_key(), "compile field {i}");
+        }
+    }
+
+    #[test]
+    fn from_flow_options_round_trips_with_to_flow_options() {
+        let every = RequestOptions {
+            lut_size: 3,
+            threshold: 0.5,
+            optimize: true,
+            no_lint: true,
+            queue: QueueKind::Ladder,
+            window: Some(4),
+            ..sample_options()
+        };
+        for o in [RequestOptions::default(), every] {
+            assert_eq!(RequestOptions::from(&o.to_flow_options()), o);
+        }
+        let flow = RequestOptions::from(&FlowOptions::default()).to_flow_options();
+        assert!(flow.ee_enabled && flow.verify && flow.lint.enabled);
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! One OS thread per connection (scoped, so `serve` owns every
 //! handler), a mutex around the [`NetlistCache`] held only for
 //! constant-time lookup/insert, and compiles/sweeps running outside
-//! any lock. A cache hit hands the session an `Arc` to the shared
-//! compiled artifact; the session then runs its **own** simulator over
-//! it (`Pipeline::simulate` on a reconstructed early-eval artifact),
-//! so concurrent sessions never contend and the determinism contract
-//! is exercised on every hit — the fresh sweep must reproduce the
-//! cached digest bit-for-bit or the server answers with a typed error
-//! instead of a wrong answer.
+//! any lock. An entry is keyed on the compile options only. A request
+//! with exactly the options the entry was compiled under is answered
+//! from the entry's own sweep; any other request runs its **own**
+//! sweep over the shared compiled artifact
+//! ([`pl_flow::EcoSession::resweep`]), so concurrent sessions never
+//! contend. `tests/serve_equivalence.rs` pins every answer to an
+//! in-process run with the request's options.
 //!
 //! # Failure containment
 //!
@@ -33,7 +33,7 @@ use crate::proto::{
     ERR_FLOW, ERR_FRAME, ERR_OPTIONS, ERR_REQUEST,
 };
 use crate::wire::{read_frame, write_frame};
-use pl_flow::{CircuitSource, EarlyEvaled, EcoEdit, FlowError, Pipeline};
+use pl_flow::{CircuitSource, EcoEdit, FlowArtifacts, FlowError, Pipeline};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -260,7 +260,7 @@ fn warm_entry(
 ) -> Result<(Arc<CompiledState>, bool), ServeError> {
     let flow_opts = options.to_flow_options();
     flow_opts.validate().map_err(ServeError::Flow)?;
-    let key: CacheKey = (design.digest(), options.fingerprint());
+    let key: CacheKey = (design.digest(), options.compile_key());
     if let Some(warm) = state.cache.lock().expect("cache mutex").lookup(key) {
         state.counters.hits.fetch_add(1, Ordering::Relaxed);
         return Ok((warm, true));
@@ -270,17 +270,9 @@ fn warm_entry(
     // compile; determinism makes the duplicate harmless and last-insert
     // wins.
     state.counters.misses.fetch_add(1, Ordering::Relaxed);
-    let source = resolve(design);
-    let session = Pipeline::new(flow_opts).eco_session(&source)?;
-    let art = session.artifacts();
     let compiled = Arc::new(CompiledState {
-        mapped_fp: art.mapped.fingerprint(),
-        phased_fp: art.plain.fingerprint(),
-        outputs_digest: outputs_digest(&art.outputs),
-        luts: art.report.techmap.luts_after as u64,
-        gates: art.report.phased.logic_gates as u64,
-        pairs: art.pairs.len() as u64,
-        session,
+        session: Pipeline::new(flow_opts).eco_session(&resolve(design))?,
+        options: options.clone(),
     });
     let evicted = state
         .cache
@@ -294,6 +286,16 @@ fn warm_entry(
     Ok((compiled, false))
 }
 
+/// The digest triple of compiled artifacts whose sweep produced
+/// `outputs`.
+fn digest_triple(art: &FlowArtifacts, outputs: &[Vec<bool>]) -> DigestTriple {
+    DigestTriple {
+        mapped_fp: art.mapped.fingerprint(),
+        phased_fp: art.plain.fingerprint(),
+        outputs_digest: outputs_digest(outputs),
+    }
+}
+
 fn compile(
     design: DesignSpec,
     options: RequestOptions,
@@ -301,46 +303,21 @@ fn compile(
 ) -> Result<Response, ServeError> {
     let (warm, cache_hit) = warm_entry(&design, &options, state)?;
     let art = warm.session.artifacts();
-    let digest = if cache_hit {
-        // Per-session simulator over the shared artifact: reconstruct
-        // the early-eval stage output from the warm compile and sweep
-        // it fresh under this request's options. The result must be
-        // bit-identical to the compile-time sweep — answering with a
-        // typed error on divergence is the determinism contract's
-        // tripwire (it has never fired; the tests would catch it too).
-        let pipeline = Pipeline::new(options.to_flow_options());
-        let early = EarlyEvaled {
-            name: art.name.clone(),
-            plain: art.plain.clone(),
-            ee: art.ee.clone(),
-            pairs: art.pairs.clone(),
-            report: art.report.early_eval.clone(),
-        };
-        let sim = pipeline.simulate(&early)?;
-        if pipeline.opts().verify {
-            pipeline.verify(&art.mapped, &sim)?;
-        }
-        let fresh = outputs_digest(&sim.outputs);
-        if fresh != warm.outputs_digest {
-            return Err(ServeError::Flow(FlowError::Mismatch {
-                context: format!("{} (cached sweep vs per-session sweep)", art.name),
-            }));
-        }
-        fresh
+    // The entry's retained sweep ran under the options that compiled it;
+    // any other request sweeps the shared compile under its own.
+    let digest = if warm.options == options {
+        digest_triple(art, &art.outputs)
     } else {
-        warm.outputs_digest
+        let (sim, _) = warm.session.resweep(&options.to_flow_options())?;
+        digest_triple(art, &sim.outputs)
     };
     Ok(Response::CompileOk {
         name: art.name.clone(),
         cache_hit,
-        luts: warm.luts,
-        gates: warm.gates,
-        pairs: warm.pairs,
-        digest: DigestTriple {
-            mapped_fp: warm.mapped_fp,
-            phased_fp: warm.phased_fp,
-            outputs_digest: digest,
-        },
+        luts: art.report.techmap.luts_after as u64,
+        gates: art.report.phased.logic_gates as u64,
+        pairs: art.pairs.len() as u64,
+        digest,
     })
 }
 
@@ -361,16 +338,15 @@ fn eco(
     let (warm, cache_hit) = warm_entry(&design, &options, state)?;
     // ECO against the warm entry: clone the pristine warm session (all
     // the compile reuse state — memoized cuts, trigger cache — comes
-    // along) and mutate the clone, one incremental recompile per edit,
-    // exactly `plc eco`'s loop. The entry itself stays pristine so a
-    // later plain compile on this key still answers for the un-edited
-    // design.
+    // along), re-target the clone to this request's sweep options, and
+    // mutate it, one incremental recompile per edit, exactly `plc eco`'s
+    // loop. The entry itself stays pristine so a later plain compile on
+    // this key still answers for the un-edited design.
     let mut session = warm.session.clone();
-    let initial = DigestTriple {
-        mapped_fp: warm.mapped_fp,
-        phased_fp: warm.phased_fp,
-        outputs_digest: warm.outputs_digest,
-    };
+    if warm.options != options {
+        session.retarget(&options.to_flow_options())?;
+    }
+    let initial = digest_triple(session.artifacts(), &session.artifacts().outputs);
     let mut results = Vec::with_capacity(parsed.len());
     for (spec, edit) in parsed {
         let out = session.apply_eco(std::slice::from_ref(&edit))?;

@@ -31,20 +31,8 @@ pub const MAGIC: [u8; 4] = *b"PLD1";
 /// length field from requesting a multi-gigabyte allocation.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// IEEE CRC32 (reflected, polynomial `0xEDB8_8320`) — the checkpoint
-/// wire format's checksum, reimplemented because that helper is crate
-/// private. Pinned by a check-value test below.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The frame checksum: the checkpoint wire format's IEEE CRC32.
+pub use pl_sim::checkpoint::wire::crc32;
 
 /// Frames and writes one message.
 ///
@@ -298,11 +286,6 @@ pub fn push_string(out: &mut Vec<u8>, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     #[test]
     fn frame_roundtrip() {

@@ -110,11 +110,12 @@ const SEC_ARCS: (u8, &str) = (4, "ARCS");
 const SEC_GATES: (u8, &str) = (5, "GATES");
 const SEC_RECORDS: (u8, &str) = (6, "RECORDS");
 
-/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-/// of every section and of the whole file. Detects all burst errors of
-/// ≤ 32 bits, hence every single-byte corruption.
+/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), table-driven —
+/// the checksum of every section and of the whole file, of the resume
+/// journal's entries and `sweep.meta`, and of every `pld` frame. Detects
+/// all burst errors of ≤ 32 bits, hence every single-byte corruption.
 #[must_use]
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;

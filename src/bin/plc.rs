@@ -24,115 +24,168 @@
 
 use std::process::ExitCode;
 
-use pl_flow::cli::{CliError, CliSpec, OptSpec, PositionalSpec};
+use pl_flow::cli::{CliSpec, OptSpec, ParsedArgs, PositionalSpec};
 use pl_flow::{CircuitSource, EcoEdit, FlowOptions, Pipeline};
 use pl_lint::{Code, Severity};
+
+// Every flag that more than one subcommand takes, declared once; each
+// spec below lists the flags it accepts.
+const EE: OptSpec = OptSpec {
+    long: "--ee",
+    value: None,
+    help: "add early evaluation and compare latency against plain PL (in plc eco the trigger cache persists across edits)",
+};
+const VERIFY: OptSpec = OptSpec {
+    long: "--verify",
+    value: None,
+    help: "cross-check outputs against the synchronous reference",
+};
+const VECTORS: OptSpec = OptSpec {
+    long: "--vectors",
+    value: Some("N"),
+    help: "random vectors to simulate (default 100)",
+};
+const SEED: OptSpec = OptSpec {
+    long: "--seed",
+    value: Some("S"),
+    help: "vector-generation seed",
+};
+const JOBS: OptSpec = OptSpec {
+    long: "--jobs",
+    value: Some("J"),
+    help: "worker threads for the simulate stage: the plain and EE variants, or with --lanes the 64 substreams, are spread over them (0 = one per core; results are identical at any value)",
+};
+const WINDOW: OptSpec = OptSpec {
+    long: "--window",
+    value: Some("N"),
+    help: "stream all vectors through each variant as one continuous pipelined run and report makespan/throughput; with --checkpoint-dir, checkpoint and journal every N vectors",
+};
+const LANES: OptSpec = OptSpec {
+    long: "--lanes",
+    value: Some("N"),
+    help: "stripe the vectors across 64 substreams and sweep them at lane width N: 1 = scalar engines, 64 = the word-parallel batch engine (outputs are bit-identical either way; prints a lane digest)",
+};
+const QUEUE: OptSpec = OptSpec {
+    long: "--queue",
+    value: Some("KIND"),
+    help: "event-queue backend for simulation: heap (default) or ladder (calendar queue; results are bit-identical either way)",
+};
+const THRESHOLD: OptSpec = OptSpec {
+    long: "--threshold",
+    value: Some("T"),
+    help: "EE cost threshold (Equation 1; default 0 = all speedups; requires --ee)",
+};
+const OPTIMIZE: OptSpec = OptSpec {
+    long: "--optimize",
+    value: None,
+    help: "run netlist cleanup passes before mapping (disables ECO cut reuse: cleanup renumbers globally)",
+};
+const LUT_SIZE: OptSpec = OptSpec {
+    long: "--lut-size",
+    value: Some("K"),
+    help: "target LUT arity for technology mapping (2..=6, default 4)",
+};
+const LINT_LEVEL: OptSpec = OptSpec {
+    long: "--lint-level",
+    value: Some("CODE=SEV"),
+    help: "override a lint code's severity (allow|warn|deny), e.g. PL0006=allow; repeatable",
+};
+const NO_LINT: OptSpec = OptSpec {
+    long: "--no-lint",
+    value: None,
+    help: "skip both lint passes (static diagnostics run by default)",
+};
+const EDIT: OptSpec = OptSpec {
+    long: "--edit",
+    value: Some("SPEC"),
+    help: "one ECO edit, applied in order and incrementally recompiled (plc client: against the daemon's warm entry): table:<node>:<hexbits> | rewire:<node>:<pin>:<src> | insert:<name>:<hexbits>:<src>[,<src>...] | remove:<node>; repeatable",
+};
+const EMIT_BLIF: OptSpec = OptSpec {
+    long: "--emit-blif",
+    value: Some("PATH"),
+    help: "write the ingested (pre-map) netlist as BLIF; in plc eco, after the last edit",
+};
+
+// Main-command flags that only feed a late stage.
+const CHECKPOINT_DIR: OptSpec = OptSpec {
+    long: "--checkpoint-dir",
+    value: Some("DIR"),
+    help: "make the streamed run crash-resumable: write a checkpoint every --window vectors and a completed-window journal under DIR (plain/ and ee/ subtrees; requires --window)",
+};
+const RESUME: OptSpec = OptSpec {
+    long: "--resume",
+    value: None,
+    help: "resume an interrupted sweep from --checkpoint-dir (a fresh run refuses a directory that already holds one)",
+};
+const VERILOG: OptSpec = OptSpec {
+    long: "--verilog",
+    value: None,
+    help: "print the LUT-mapped netlist as structural Verilog",
+};
+const VCD: OptSpec = OptSpec {
+    long: "--vcd",
+    value: Some("PATH"),
+    help: "write an 8-vector token waveform VCD of the plain PL netlist",
+};
+
+/// The stage each stage-gated main-command flag configures. With a
+/// `--stage` that stops before it, the flag would be silently ignored, so
+/// [`check_flag_consistency`] rejects it; rows are checked in order.
+const STAGE_GATED: &[(OptSpec, Stage)] = &[
+    (LANES, Stage::Simulate),
+    (NO_LINT, Stage::Lint),
+    (LINT_LEVEL, Stage::Lint),
+    (WINDOW, Stage::Simulate),
+    (QUEUE, Stage::Simulate),
+    (OPTIMIZE, Stage::Optimize),
+    (LUT_SIZE, Stage::Techmap),
+    (VERILOG, Stage::Techmap),
+    (VCD, Stage::Phased),
+    (EE, Stage::EarlyEval),
+    (VERIFY, Stage::Simulate),
+    (VECTORS, Stage::Simulate),
+    (JOBS, Stage::Simulate),
+    (SEED, Stage::Simulate),
+    (CHECKPOINT_DIR, Stage::Simulate),
+    (RESUME, Stage::Simulate),
+];
+
+/// The design argument of every compiling subcommand.
+const DESIGN: PositionalSpec = PositionalSpec {
+    name: "<file.blif|bXX>",
+    help: "BLIF file path, or an ITC'99 catalog id (b01..b15)",
+    many: false,
+    required: true,
+};
 
 const SPEC: CliSpec = CliSpec {
     bin: "plc",
     about: "compile a BLIF netlist or ITC'99 circuit to phased logic and run it",
-    positional: Some(PositionalSpec {
-        name: "<file.blif|bXX>",
-        help: "BLIF file path, or an ITC'99 catalog id (b01..b15)",
-        many: false,
-        required: true,
-    }),
+    positional: Some(DESIGN),
     options: &[
-        OptSpec {
-            long: "--ee",
-            value: None,
-            help: "add early evaluation and compare latency against plain PL",
-        },
-        OptSpec {
-            long: "--verify",
-            value: None,
-            help: "cross-check outputs against the synchronous reference",
-        },
-        OptSpec {
-            long: "--vectors",
-            value: Some("N"),
-            help: "random vectors to simulate (default 100)",
-        },
-        OptSpec {
-            long: "--seed",
-            value: Some("S"),
-            help: "vector-generation seed",
-        },
-        OptSpec {
-            long: "--jobs",
-            value: Some("J"),
-            help: "worker threads for the simulate stage: the plain and EE variants, or with --lanes the 64 substreams, are spread over them (0 = one per core; results are identical at any value)",
-        },
-        OptSpec {
-            long: "--window",
-            value: Some("N"),
-            help: "stream all vectors through each variant as one continuous pipelined run and report makespan/throughput; with --checkpoint-dir, checkpoint and journal every N vectors",
-        },
-        OptSpec {
-            long: "--lanes",
-            value: Some("N"),
-            help: "stripe the vectors across 64 substreams and sweep them at lane width N: 1 = scalar engines, 64 = the word-parallel batch engine (outputs are bit-identical either way; prints a lane digest)",
-        },
-        OptSpec {
-            long: "--queue",
-            value: Some("KIND"),
-            help: "event-queue backend for simulation: heap (default) or ladder (calendar queue; results are bit-identical either way)",
-        },
-        OptSpec {
-            long: "--checkpoint-dir",
-            value: Some("DIR"),
-            help: "make the streamed run crash-resumable: write a checkpoint every --window vectors and a completed-window journal under DIR (plain/ and ee/ subtrees; requires --window)",
-        },
-        OptSpec {
-            long: "--resume",
-            value: None,
-            help: "resume an interrupted sweep from --checkpoint-dir (a fresh run refuses a directory that already holds one)",
-        },
-        OptSpec {
-            long: "--threshold",
-            value: Some("T"),
-            help: "EE cost threshold (Equation 1; default 0 = all speedups)",
-        },
-        OptSpec {
-            long: "--optimize",
-            value: None,
-            help: "run netlist cleanup passes before mapping",
-        },
-        OptSpec {
-            long: "--lut-size",
-            value: Some("K"),
-            help: "target LUT arity for technology mapping (2..=6, default 4)",
-        },
-        OptSpec {
-            long: "--lint-level",
-            value: Some("CODE=SEV"),
-            help: "override a lint code's severity (allow|warn|deny), e.g. PL0006=allow; repeatable",
-        },
-        OptSpec {
-            long: "--no-lint",
-            value: None,
-            help: "skip both lint passes (static diagnostics run by default)",
-        },
+        EE,
+        VERIFY,
+        VECTORS,
+        SEED,
+        JOBS,
+        WINDOW,
+        LANES,
+        QUEUE,
+        CHECKPOINT_DIR,
+        RESUME,
+        THRESHOLD,
+        OPTIMIZE,
+        LUT_SIZE,
+        LINT_LEVEL,
+        NO_LINT,
         OptSpec {
             long: "--stage",
             value: Some("NAME"),
             help: "stop after ingest|lint|optimize|techmap|phased|early-eval|simulate",
         },
-        OptSpec {
-            long: "--emit-blif",
-            value: Some("PATH"),
-            help: "write the ingested (pre-map) netlist as BLIF",
-        },
-        OptSpec {
-            long: "--verilog",
-            value: None,
-            help: "print the LUT-mapped netlist as structural Verilog",
-        },
-        OptSpec {
-            long: "--vcd",
-            value: Some("PATH"),
-            help: "write an 8-vector token waveform VCD of the plain PL netlist",
-        },
+        EMIT_BLIF,
+        VERILOG,
+        VCD,
     ],
 };
 
@@ -141,24 +194,14 @@ const SPEC: CliSpec = CliSpec {
 const LINT_SPEC: CliSpec = CliSpec {
     bin: "plc lint",
     about: "run the static netlist diagnostics (both passes) and report every finding",
-    positional: Some(PositionalSpec {
-        name: "<file.blif|bXX>",
-        help: "BLIF file path, or an ITC'99 catalog id (b01..b15)",
-        many: false,
-        required: true,
-    }),
+    positional: Some(DESIGN),
     options: &[
         OptSpec {
             long: "--json",
             value: None,
             help: "print findings as JSON lines instead of text",
         },
-        OptSpec {
-            long: "--lint-level",
-            value: Some("CODE=SEV"),
-            help:
-                "override a lint code's severity (allow|warn|deny), e.g. PL0006=allow; repeatable",
-        },
+        LINT_LEVEL,
         OptSpec {
             long: "--max-fanout",
             value: Some("N"),
@@ -169,16 +212,8 @@ const LINT_SPEC: CliSpec = CliSpec {
             value: Some("N"),
             help: "combinational-depth envelope for PL0102 (default 128)",
         },
-        OptSpec {
-            long: "--optimize",
-            value: None,
-            help: "run netlist cleanup passes before the phased-logic pass",
-        },
-        OptSpec {
-            long: "--lut-size",
-            value: Some("K"),
-            help: "target LUT arity for the phased-logic pass (2..=6, default 4)",
-        },
+        OPTIMIZE,
+        LUT_SIZE,
     ],
 };
 
@@ -189,64 +224,9 @@ const LINT_SPEC: CliSpec = CliSpec {
 const ECO_SPEC: CliSpec = CliSpec {
     bin: "plc eco",
     about: "compile once, then apply ECO edits with incremental recompilation",
-    positional: Some(PositionalSpec {
-        name: "<file.blif|bXX>",
-        help: "BLIF file path, or an ITC'99 catalog id (b01..b15)",
-        many: false,
-        required: true,
-    }),
+    positional: Some(DESIGN),
     options: &[
-        OptSpec {
-            long: "--edit",
-            value: Some("SPEC"),
-            help: "one ECO edit, applied in order and incrementally recompiled: table:<node>:<hexbits> | rewire:<node>:<pin>:<src> | insert:<name>:<hexbits>:<src>[,<src>...] | remove:<node>; repeatable",
-        },
-        OptSpec {
-            long: "--ee",
-            value: None,
-            help: "run the early-evaluation stage (trigger cache persists across edits)",
-        },
-        OptSpec {
-            long: "--verify",
-            value: None,
-            help: "cross-check outputs against the synchronous reference",
-        },
-        OptSpec {
-            long: "--vectors",
-            value: Some("N"),
-            help: "random vectors to simulate (default 100)",
-        },
-        OptSpec {
-            long: "--seed",
-            value: Some("S"),
-            help: "vector-generation seed",
-        },
-        OptSpec {
-            long: "--optimize",
-            value: None,
-            help: "run netlist cleanup passes before mapping (disables cut reuse: cleanup renumbers globally)",
-        },
-        OptSpec {
-            long: "--lut-size",
-            value: Some("K"),
-            help: "target LUT arity for technology mapping (2..=6, default 4)",
-        },
-        OptSpec {
-            long: "--lint-level",
-            value: Some("CODE=SEV"),
-            help:
-                "override a lint code's severity (allow|warn|deny), e.g. PL0006=allow; repeatable",
-        },
-        OptSpec {
-            long: "--no-lint",
-            value: None,
-            help: "skip both lint passes (static diagnostics run by default)",
-        },
-        OptSpec {
-            long: "--emit-blif",
-            value: Some("PATH"),
-            help: "write the final edited (pre-map) netlist as BLIF",
-        },
+        EDIT, EE, VERIFY, VECTORS, SEED, OPTIMIZE, LUT_SIZE, LINT_LEVEL, NO_LINT, EMIT_BLIF,
     ],
 };
 
@@ -289,71 +269,19 @@ const CLIENT_SPEC: CliSpec = CliSpec {
         required: true,
     }),
     options: &[
-        OptSpec {
-            long: "--edit",
-            value: Some("SPEC"),
-            help: "apply ECO edits against the warm cache entry instead of a plain compile; same grammar as plc eco, repeatable",
-        },
-        OptSpec {
-            long: "--ee",
-            value: None,
-            help: "add early evaluation",
-        },
-        OptSpec {
-            long: "--verify",
-            value: None,
-            help: "cross-check outputs against the synchronous reference",
-        },
-        OptSpec {
-            long: "--vectors",
-            value: Some("N"),
-            help: "random vectors to simulate (default 100)",
-        },
-        OptSpec {
-            long: "--seed",
-            value: Some("S"),
-            help: "vector-generation seed",
-        },
-        OptSpec {
-            long: "--jobs",
-            value: Some("J"),
-            help: "worker threads for the sweep",
-        },
-        OptSpec {
-            long: "--window",
-            value: Some("N"),
-            help: "streamed protocol with N-vector windows",
-        },
-        OptSpec {
-            long: "--lanes",
-            value: Some("N"),
-            help: "lane protocol at width N (1 or 64)",
-        },
-        OptSpec {
-            long: "--queue",
-            value: Some("KIND"),
-            help: "event-queue backend: heap (default) or ladder",
-        },
-        OptSpec {
-            long: "--threshold",
-            value: Some("T"),
-            help: "EE cost threshold (requires --ee)",
-        },
-        OptSpec {
-            long: "--optimize",
-            value: None,
-            help: "run netlist cleanup passes before mapping",
-        },
-        OptSpec {
-            long: "--lut-size",
-            value: Some("K"),
-            help: "target LUT arity for technology mapping (2..=6, default 4)",
-        },
-        OptSpec {
-            long: "--no-lint",
-            value: None,
-            help: "skip both lint passes",
-        },
+        EDIT,
+        EE,
+        VERIFY,
+        VECTORS,
+        SEED,
+        JOBS,
+        WINDOW,
+        LANES,
+        QUEUE,
+        THRESHOLD,
+        OPTIMIZE,
+        LUT_SIZE,
+        NO_LINT,
         OptSpec {
             long: "--stats",
             value: None,
@@ -379,17 +307,98 @@ enum Stage {
     Simulate,
 }
 
-fn parse_stage(name: &str) -> Option<Stage> {
-    match name {
-        "ingest" => Some(Stage::Ingest),
-        "lint" => Some(Stage::Lint),
-        "optimize" => Some(Stage::Optimize),
-        "techmap" | "map" => Some(Stage::Techmap),
-        "phased" => Some(Stage::Phased),
-        "early-eval" | "early_eval" | "ee" => Some(Stage::EarlyEval),
-        "simulate" | "sim" => Some(Stage::Simulate),
-        _ => None,
+impl Stage {
+    /// Parses a `--stage` name or one of its aliases.
+    fn parse(name: &str) -> Option<Stage> {
+        match name {
+            "ingest" => Some(Stage::Ingest),
+            "lint" => Some(Stage::Lint),
+            "optimize" => Some(Stage::Optimize),
+            "techmap" | "map" => Some(Stage::Techmap),
+            "phased" => Some(Stage::Phased),
+            "early-eval" | "early_eval" | "ee" => Some(Stage::EarlyEval),
+            "simulate" | "sim" => Some(Stage::Simulate),
+            _ => None,
+        }
     }
+
+    /// The canonical `--stage` name.
+    fn name(self) -> &'static str {
+        match self {
+            Stage::Ingest => "ingest",
+            Stage::Lint => "lint",
+            Stage::Optimize => "optimize",
+            Stage::Techmap => "techmap",
+            Stage::Phased => "phased",
+            Stage::EarlyEval => "early-eval",
+            Stage::Simulate => "simulate",
+        }
+    }
+}
+
+/// A subcommand's result: its exit code, or an error `main` prints as
+/// `plc: <error>` with exit 1. Usage errors exit 2 on the spot.
+type Outcome = Result<ExitCode, Box<dyn std::error::Error>>;
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = argv.get(1..).unwrap_or_default();
+    let outcome = match argv.first().map(String::as_str) {
+        Some("lint") => lint_main(&LINT_SPEC.parse_or_exit(rest)),
+        Some("eco") => eco_main(&ECO_SPEC.parse_or_exit(rest)),
+        Some("serve") => serve_main(&SERVE_SPEC.parse_or_exit(rest)),
+        Some("client") => client_main(&CLIENT_SPEC.parse_or_exit(rest)),
+        _ => compile_main(&SPEC.parse_or_exit(&argv)),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("plc: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Maps parsed flags onto [`FlowOptions`]: the one wiring behind the main
+/// command, `lint`, `eco` and `client`. A flag the subcommand does not
+/// take is never given, so its field keeps its default, except that EE
+/// and verification are on only when `--ee` and `--verify` are given.
+/// Exits 2 on a malformed value; the options are not validated.
+fn flow_options(args: &ParsedArgs) -> FlowOptions {
+    let mut opts = FlowOptions::default();
+    opts.vectors = args.value_or(VECTORS.long, opts.vectors);
+    opts.seed = args.value_or(SEED.long, opts.seed);
+    opts.jobs = args.value_or(JOBS.long, opts.jobs);
+    opts.ee_enabled = args.flag(EE.long);
+    opts.verify = args.flag(VERIFY.long);
+    opts.optimize = args.flag(OPTIMIZE.long);
+    opts.map.lut_size = args.value_or(LUT_SIZE.long, opts.map.lut_size);
+    if let Some(t) = args.value_opt(THRESHOLD.long) {
+        opts.ee.cost_threshold = t;
+    }
+    if let Some(q) = args.value_opt(QUEUE.long) {
+        opts.queue = q;
+    }
+    opts.window = args.value_opt(WINDOW.long);
+    opts.lanes = args.value_opt(LANES.long);
+    opts.checkpoint_dir = args.get(CHECKPOINT_DIR.long).map(Into::into);
+    opts.resume = args.flag(RESUME.long);
+    opts.lint.enabled = !args.flag(NO_LINT.long);
+    opts.lint.max_fanout = args.value_or("--max-fanout", opts.lint.max_fanout);
+    opts.lint.max_depth = args.value_or("--max-depth", opts.lint.max_depth);
+    match parse_lint_levels(&args.get_all(LINT_LEVEL.long)) {
+        Ok(levels) => opts.lint.overrides = levels,
+        Err(msg) => args.exit_usage(&msg),
+    }
+    opts
+}
+
+/// [`flow_options`], then [`FlowOptions::validate`]: a rejected
+/// combination exits 2 with the validation message. `plc client` skips
+/// this; the daemon validates its requests.
+fn checked_flow_options(args: &ParsedArgs) -> FlowOptions {
+    let opts = flow_options(args);
+    if let Err(pl_flow::FlowError::Options { message }) = opts.validate() {
+        args.exit_usage(&message);
+    }
+    opts
 }
 
 /// Parses repeated `--lint-level CODE=SEVERITY` values.
@@ -410,199 +419,87 @@ fn parse_lint_levels(specs: &[&str]) -> Result<Vec<(Code, Severity)>, String> {
         .collect()
 }
 
-fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("lint") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        return lint_main(&argv);
-    }
-    if std::env::args().nth(1).as_deref() == Some("eco") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        return eco_main(&argv);
-    }
-    if std::env::args().nth(1).as_deref() == Some("serve") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        return serve_main(&argv);
-    }
-    if std::env::args().nth(1).as_deref() == Some("client") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        return client_main(&argv);
-    }
-    let args = SPEC.parse_env();
-    let spec = args.positionals[0].clone();
+/// The main command: compile and run one design, up to `--stage`.
+fn compile_main(args: &ParsedArgs) -> Outcome {
     let stop_after = match args.get("--stage") {
         None => Stage::Simulate,
-        Some(name) => match parse_stage(name) {
-            Some(s) => s,
-            None => {
-                eprintln!("error: unknown stage '{name}'\n");
-                eprintln!("{}", SPEC.help());
-                return ExitCode::from(2);
-            }
-        },
+        Some(name) => Stage::parse(name)
+            .unwrap_or_else(|| args.exit_usage(&format!("unknown stage '{name}'"))),
     };
+    let opts = checked_flow_options(args);
+    check_flag_consistency(args, stop_after);
+    drive(&args.positionals[0], args, stop_after, opts)?;
+    Ok(ExitCode::SUCCESS)
+}
 
-    let mut opts = FlowOptions::default();
-    opts.vectors = args.value_or("--vectors", opts.vectors);
-    opts.seed = args.value_or("--seed", opts.seed);
-    opts.jobs = args.value_or("--jobs", opts.jobs);
-    opts.ee_enabled = args.flag("--ee");
-    opts.verify = args.flag("--verify");
-    opts.optimize = args.flag("--optimize");
-    opts.map.lut_size = args.value_or("--lut-size", opts.map.lut_size);
-    if let Some(t) = args.value_opt::<f64>("--threshold") {
-        opts.ee.cost_threshold = t;
-    }
-    if let Some(q) = args.value_opt::<pl_flow::QueueKind>("--queue") {
-        opts.queue = q;
-    }
-    opts.window = args.value_opt::<usize>("--window");
-    opts.lanes = args.value_opt::<usize>("--lanes");
-    opts.checkpoint_dir = args.get("--checkpoint-dir").map(std::path::PathBuf::from);
-    opts.resume = args.flag("--resume");
-    opts.lint.enabled = !args.flag("--no-lint");
-    match parse_lint_levels(&args.get_all("--lint-level")) {
-        Ok(levels) => opts.lint.overrides = levels,
-        Err(msg) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{}", SPEC.help());
-            return ExitCode::from(2);
+/// Exits 2 on a flag combination that would otherwise be silently
+/// ignored: a flag whose stage `--stage` cuts off (see [`STAGE_GATED`]),
+/// a `--threshold` without the EE stage it configures, or a lint flag
+/// that contradicts `--no-lint`. Option-level combinations (lane widths,
+/// checkpoint/resume wiring, LUT arity, window bounds) are
+/// [`FlowOptions::validate`]'s, checked before this; only the checks that
+/// need the raw argv stay here.
+fn check_flag_consistency(args: &ParsedArgs, stop_after: Stage) {
+    let given = |o: &OptSpec| args.flag(o.long) || args.get(o.long).is_some();
+    for (opt, stage) in STAGE_GATED {
+        // `--seed` feeds the simulate stage, except that a `--vcd` export
+        // already consumes it at the phased stage.
+        let stage = if opt.long == SEED.long && given(&VCD) {
+            Stage::Phased
+        } else {
+            *stage
+        };
+        if given(opt) && stop_after < stage {
+            args.exit_usage(&format!(
+                "{} has no effect when --stage stops before {}",
+                opt.long,
+                stage.name()
+            ));
         }
     }
-    if let Err(msg) = check_flag_consistency(&args, stop_after, &opts) {
-        eprintln!("error: {msg}\n");
-        eprintln!("{}", SPEC.help());
-        return ExitCode::from(2);
+    if given(&THRESHOLD) && !given(&EE) {
+        args.exit_usage("--threshold requires --ee (it configures the EE stage)");
     }
-
-    match drive(&spec, &args, stop_after, opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("plc: {e}");
-            ExitCode::FAILURE
-        }
+    if given(&LINT_LEVEL) && given(&NO_LINT) {
+        args.exit_usage("--lint-level has no effect with --no-lint (the lint stage is skipped)");
+    }
+    if given(&NO_LINT) && stop_after == Stage::Lint {
+        args.exit_usage("--no-lint contradicts --stage lint (stopping after a skipped stage)");
     }
 }
 
 /// The `plc lint` subcommand: run [`Pipeline::lint_session`] (never aborts
 /// on findings), print the rendered report, exit 1 when anything denied.
-fn lint_main(argv: &[String]) -> ExitCode {
-    let args = match LINT_SPEC.parse(argv) {
-        Ok(parsed) => parsed,
-        Err(CliError::Help(text)) => {
-            println!("{text}");
-            return ExitCode::SUCCESS;
-        }
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{}", LINT_SPEC.help());
-            return ExitCode::from(2);
-        }
-    };
-    let mut opts = FlowOptions {
-        optimize: args.flag("--optimize"),
-        ..FlowOptions::default()
-    };
-    opts.map.lut_size = args.value_or("--lut-size", opts.map.lut_size);
-    opts.lint.max_fanout = args.value_or("--max-fanout", opts.lint.max_fanout);
-    opts.lint.max_depth = args.value_or("--max-depth", opts.lint.max_depth);
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}\n");
-        eprintln!("{}", LINT_SPEC.help());
-        ExitCode::from(2)
-    };
-    match parse_lint_levels(&args.get_all("--lint-level")) {
-        Ok(levels) => opts.lint.overrides = levels,
-        Err(msg) => return usage_error(&msg),
+fn lint_main(args: &ParsedArgs) -> Outcome {
+    let pipeline = Pipeline::new(checked_flow_options(args));
+    let session = pipeline.lint_session(&CircuitSource::from_spec(&args.positionals[0]))?;
+    if args.flag("--json") {
+        print!("{}", session.render_json_lines());
+    } else {
+        print!("{}", session.render_text());
     }
-    if let Err(pl_flow::FlowError::Options { message }) = opts.validate() {
-        return usage_error(&message);
-    }
-    let source = CircuitSource::from_spec(&args.positionals[0]);
-    let pipeline = Pipeline::new(opts);
-    match pipeline.lint_session(&source) {
-        Ok(session) => {
-            if args.flag("--json") {
-                print!("{}", session.render_json_lines());
-            } else {
-                print!("{}", session.render_text());
-            }
-            if session.has_deny() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("plc: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(if session.has_deny() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 /// The `plc eco` subcommand: open an [`pl_flow::EcoSession`], apply each
 /// `--edit` as its own incremental recompile, and print per-edit reuse
-/// accounting plus deterministic digest lines.
-fn eco_main(argv: &[String]) -> ExitCode {
-    let args = match ECO_SPEC.parse(argv) {
-        Ok(parsed) => parsed,
-        Err(CliError::Help(text)) => {
-            println!("{text}");
-            return ExitCode::SUCCESS;
-        }
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{}", ECO_SPEC.help());
-            return ExitCode::from(2);
-        }
-    };
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}\n");
-        eprintln!("{}", ECO_SPEC.help());
-        ExitCode::from(2)
-    };
-    let mut opts = FlowOptions::default();
-    opts.vectors = args.value_or("--vectors", opts.vectors);
-    opts.seed = args.value_or("--seed", opts.seed);
-    opts.ee_enabled = args.flag("--ee");
-    opts.verify = args.flag("--verify");
-    opts.optimize = args.flag("--optimize");
-    opts.map.lut_size = args.value_or("--lut-size", opts.map.lut_size);
-    opts.lint.enabled = !args.flag("--no-lint");
-    match parse_lint_levels(&args.get_all("--lint-level")) {
-        Ok(levels) => opts.lint.overrides = levels,
-        Err(msg) => return usage_error(&msg),
-    }
-    if let Err(pl_flow::FlowError::Options { message }) = opts.validate() {
-        return usage_error(&message);
-    }
-    let mut edits: Vec<(String, EcoEdit)> = Vec::new();
-    for spec in args.get_all("--edit") {
-        match EcoEdit::parse(spec) {
-            Ok(edit) => edits.push((spec.to_string(), edit)),
-            Err(e) => return usage_error(&e.to_string()),
-        }
-    }
-
-    match run_eco(&args.positionals[0], &edits, args.get("--emit-blif"), opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("plc: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Drives one ECO session: initial compile, then one incremental
-/// recompile per edit, digest lines after each.
-fn run_eco(
-    spec: &str,
-    edits: &[(String, EcoEdit)],
-    emit_blif: Option<&str>,
-    opts: FlowOptions,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let source = CircuitSource::from_spec(spec);
-    let pipeline = Pipeline::new(opts);
-    let mut session = pipeline.eco_session(&source)?;
+/// accounting plus deterministic digest lines after the initial compile
+/// and after each edit.
+fn eco_main(args: &ParsedArgs) -> Outcome {
+    let pipeline = Pipeline::new(checked_flow_options(args));
+    let edits: Vec<(&str, EcoEdit)> = args
+        .get_all(EDIT.long)
+        .into_iter()
+        .map(|spec| match EcoEdit::parse(spec) {
+            Ok(edit) => (spec, edit),
+            Err(e) => args.exit_usage(&e.to_string()),
+        })
+        .collect();
+    let mut session = pipeline.eco_session(&CircuitSource::from_spec(&args.positionals[0]))?;
     {
         let art = session.artifacts();
         println!(
@@ -653,12 +550,12 @@ fn run_eco(
             &session.artifacts().outputs,
         );
     }
-    if let Some(path) = emit_blif {
+    if let Some(path) = args.get(EMIT_BLIF.long) {
         let blif = pl_netlist::blif::to_blif(session.netlist())?;
         std::fs::write(path, &blif)?;
         println!("[eco]       wrote {path} ({} bytes)", blif.len());
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Prints one compile's deterministic digest block. The `outputs digest`
@@ -678,82 +575,36 @@ fn print_eco_digest(mapped_fp: u64, phased_fp: u64, outputs: &[Vec<bool>]) {
 
 /// The `plc serve` subcommand: bind, announce, and serve until a client
 /// sends `--shutdown`.
-fn serve_main(argv: &[String]) -> ExitCode {
-    let args = match SERVE_SPEC.parse(argv) {
-        Ok(parsed) => parsed,
-        Err(CliError::Help(text)) => {
-            println!("{text}");
-            return ExitCode::SUCCESS;
-        }
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{}", SERVE_SPEC.help());
-            return ExitCode::from(2);
-        }
-    };
-    let host = args.get("--addr").unwrap_or("127.0.0.1").to_string();
+fn serve_main(args: &ParsedArgs) -> Outcome {
+    let host = args.get("--addr").unwrap_or("127.0.0.1");
     let port: u16 = args.value_or("--port", 0);
     let config = pl_serve::ServerConfig {
         cache_entries: args.value_or("--cache-entries", 8),
         ..pl_serve::ServerConfig::default()
     };
-    let run = || -> Result<(), pl_serve::ServeError> {
-        let server = pl_serve::PldServer::bind(&format!("{host}:{port}"), &config)?;
-        // The parseable handshake line: smoke tests and wrapper scripts
-        // read the bound (possibly ephemeral) address from it.
-        println!("pld: listening on {}", server.local_addr()?);
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        server.serve()?;
-        println!("pld: shut down");
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("plc: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let server = pl_serve::PldServer::bind(&format!("{host}:{port}"), &config)?;
+    // The parseable handshake line: smoke tests and wrapper scripts read
+    // the bound (possibly ephemeral) address from it.
+    println!("pld: listening on {}", server.local_addr()?);
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    server.serve()?;
+    println!("pld: shut down");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `plc client` subcommand: one request, digest lines rendered with
 /// the same shared helper `plc eco` prints through.
-fn client_main(argv: &[String]) -> ExitCode {
-    let args = match CLIENT_SPEC.parse(argv) {
-        Ok(parsed) => parsed,
-        Err(CliError::Help(text)) => {
-            println!("{text}");
-            return ExitCode::SUCCESS;
-        }
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{}", CLIENT_SPEC.help());
-            return ExitCode::from(2);
-        }
-    };
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}\n");
-        eprintln!("{}", CLIENT_SPEC.help());
-        ExitCode::from(2)
-    };
-    let request = match build_client_request(&args) {
-        Ok(r) => r,
-        Err(msg) => return usage_error(&msg),
-    };
-    match run_client(&args.positionals[0], &request) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("plc: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn client_main(args: &ParsedArgs) -> Outcome {
+    let request = build_client_request(args).unwrap_or_else(|msg| args.exit_usage(&msg));
+    run_client(&args.positionals[0], &request)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Maps the `plc client` flags onto a protocol request — the same
-/// wiring as the in-process subcommands, so equal flags mean equal
-/// digests.
-fn build_client_request(args: &pl_flow::cli::ParsedArgs) -> Result<pl_serve::Request, String> {
+/// Maps the `plc client` flags onto a protocol request through
+/// [`flow_options`], the wiring of the in-process subcommands, so equal
+/// flags mean equal digests.
+fn build_client_request(args: &ParsedArgs) -> Result<pl_serve::Request, String> {
     use pl_serve::{DesignSpec, Request, RequestOptions};
     if args.flag("--shutdown") {
         return Ok(Request::Shutdown);
@@ -764,23 +615,7 @@ fn build_client_request(args: &pl_flow::cli::ParsedArgs) -> Result<pl_serve::Req
     let Some(design) = args.positionals.get(1) else {
         return Err("a design is required unless --stats or --shutdown is given".to_string());
     };
-    let mut options = RequestOptions::default();
-    options.vectors = args.value_or("--vectors", options.vectors);
-    options.seed = args.value_or("--seed", options.seed);
-    options.jobs = args.value_or("--jobs", options.jobs);
-    options.lut_size = args.value_or("--lut-size", options.lut_size);
-    if let Some(t) = args.value_opt::<f64>("--threshold") {
-        options.threshold = t;
-    }
-    if let Some(q) = args.value_opt::<pl_flow::QueueKind>("--queue") {
-        options.queue = q;
-    }
-    options.ee = args.flag("--ee");
-    options.verify = args.flag("--verify");
-    options.optimize = args.flag("--optimize");
-    options.no_lint = args.flag("--no-lint");
-    options.window = args.value_opt::<usize>("--window");
-    options.lanes = args.value_opt::<usize>("--lanes");
+    let options = RequestOptions::from(&flow_options(args));
     // A locally readable BLIF file is shipped inline (the daemon need
     // not share a filesystem); anything else is a server-side spec
     // (catalog id, `rand:` spec, or a path on the daemon's host).
@@ -796,7 +631,7 @@ fn build_client_request(args: &pl_flow::cli::ParsedArgs) -> Result<pl_serve::Req
         DesignSpec::Spec(design.to_string())
     };
     let edits: Vec<String> = args
-        .get_all("--edit")
+        .get_all(EDIT.long)
         .iter()
         .map(|s| s.to_string())
         .collect();
@@ -876,144 +711,10 @@ fn run_client(addr: &str, request: &pl_serve::Request) -> Result<(), Box<dyn std
     Ok(())
 }
 
-/// Rejects flag combinations that would otherwise be silently ignored:
-/// an export/check flag whose stage is cut off by `--stage`, a
-/// `--threshold` without the EE stage it configures, or a LUT arity the
-/// mapper would reject with a panic instead of a usage error.
-///
-/// Option-level combinations (lane widths, checkpoint/resume wiring,
-/// LUT arity, window bounds) are delegated to
-/// [`FlowOptions::validate`], which phrases its messages with these
-/// flag names — the CLI and programmatic paths reject identically.
-/// Only the checks that need the raw argv (stage gating, flags with a
-/// CLI-only meaning) stay here.
-fn check_flag_consistency(
-    args: &pl_flow::cli::ParsedArgs,
-    stop_after: Stage,
-    opts: &FlowOptions,
-) -> Result<(), String> {
-    opts.validate().map_err(|e| match e {
-        pl_flow::FlowError::Options { message } => message,
-        other => other.to_string(),
-    })?;
-    // `--seed` feeds the simulate stage, except that a `--vcd` export
-    // already consumes it at the phased stage.
-    let (seed_stage, seed_stage_name) = if args.get("--vcd").is_some() {
-        (Stage::Phased, "phased")
-    } else {
-        (Stage::Simulate, "simulate")
-    };
-    let needs: [(&str, bool, Stage, &str); 16] = [
-        (
-            "--lanes",
-            args.get("--lanes").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        ("--no-lint", args.flag("--no-lint"), Stage::Lint, "lint"),
-        (
-            "--lint-level",
-            !args.get_all("--lint-level").is_empty(),
-            Stage::Lint,
-            "lint",
-        ),
-        (
-            "--window",
-            args.get("--window").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--queue",
-            args.get("--queue").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--optimize",
-            args.flag("--optimize"),
-            Stage::Optimize,
-            "optimize",
-        ),
-        (
-            "--lut-size",
-            args.get("--lut-size").is_some(),
-            Stage::Techmap,
-            "techmap",
-        ),
-        (
-            "--verilog",
-            args.flag("--verilog"),
-            Stage::Techmap,
-            "techmap",
-        ),
-        (
-            "--vcd",
-            args.get("--vcd").is_some(),
-            Stage::Phased,
-            "phased",
-        ),
-        ("--ee", args.flag("--ee"), Stage::EarlyEval, "early-eval"),
-        (
-            "--verify",
-            args.flag("--verify"),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--vectors",
-            args.get("--vectors").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--jobs",
-            args.get("--jobs").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--seed",
-            args.get("--seed").is_some(),
-            seed_stage,
-            seed_stage_name,
-        ),
-        (
-            "--checkpoint-dir",
-            args.get("--checkpoint-dir").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--resume",
-            args.flag("--resume"),
-            Stage::Simulate,
-            "simulate",
-        ),
-    ];
-    for (flag, given, stage, stage_name) in needs {
-        if given && stop_after < stage {
-            return Err(format!(
-                "{flag} has no effect when --stage stops before {stage_name}"
-            ));
-        }
-    }
-    if args.get("--threshold").is_some() && !args.flag("--ee") {
-        return Err("--threshold requires --ee (it configures the EE stage)".to_string());
-    }
-    if !args.get_all("--lint-level").is_empty() && args.flag("--no-lint") {
-        return Err("--lint-level has no effect with --no-lint (the lint stage is skipped)".into());
-    }
-    if args.flag("--no-lint") && stop_after == Stage::Lint {
-        return Err("--no-lint contradicts --stage lint (stopping after a skipped stage)".into());
-    }
-    Ok(())
-}
-
 /// Runs the pipeline stage by stage, printing each report as it lands.
 fn drive(
     spec: &str,
-    args: &pl_flow::cli::ParsedArgs,
+    args: &ParsedArgs,
     stop_after: Stage,
     opts: FlowOptions,
 ) -> Result<(), Box<dyn std::error::Error>> {
@@ -1032,7 +733,7 @@ fn drive(
         ingested.report.dffs,
         ingested.report.secs,
     );
-    if let Some(path) = args.get("--emit-blif") {
+    if let Some(path) = args.get(EMIT_BLIF.long) {
         let blif = pl_netlist::blif::to_blif(&ingested.netlist)?;
         std::fs::write(path, &blif)?;
         println!("[ingest]    wrote {path} ({} bytes)", blif.len());
@@ -1076,7 +777,7 @@ fn drive(
         mapped.report.depth,
         mapped.report.secs,
     );
-    if args.flag("--verilog") {
+    if args.flag(VERILOG.long) {
         print!("{}", pl_netlist::verilog::to_verilog(&mapped.netlist)?);
     }
     if stop_after == Stage::Techmap {
@@ -1092,7 +793,7 @@ fn drive(
         let lint = pipeline.lint_phased(&phased)?;
         print_lint_stage("[pl-lint]  ", &lint);
     }
-    if let Some(path) = args.get("--vcd") {
+    if let Some(path) = args.get(VCD.long) {
         write_vcd(&phased.netlist, &mapped.netlist, &opts, path)?;
     }
     if stop_after == Stage::Phased {
@@ -1215,15 +916,9 @@ fn print_lint_stage(label: &str, stage: &pl_flow::LintStageReport) {
 /// `--lanes 64` (one batch engine per block) must print the identical
 /// digest — the CI batch determinism smoke diffs exactly this line.
 fn print_lane_digest(words: &[Vec<bool>]) {
-    let mut digest = pl_sim::Fnv64::new();
-    for word in words {
-        for &b in word {
-            digest.mix(u64::from(b));
-        }
-    }
     println!(
         "  lane digest (64 substreams, vector order): {:#018x}",
-        digest.finish()
+        pl_serve::outputs_digest(words)
     );
 }
 
@@ -1234,17 +929,10 @@ fn print_lane_digest(words: &[Vec<bool>]) {
 /// diffing it across runs.
 /// The words are passed separately because the flow's stream outcomes
 /// carry metrics only (both variants' words are identical and live in
-/// `Simulated::outputs` once).
+/// `Simulated::outputs` once). The makespan is printed (and CI-diffed) on
+/// its own, and the plain/EE lines sharing one digest is exactly the "EE
+/// outputs bit-identical to plain" claim made visible.
 fn print_streamed(label: &str, window: usize, stream: &pl_sim::StreamOutcome, words: &[Vec<bool>]) {
-    // Words only — the makespan is printed (and CI-diffed) on its own, and
-    // the plain/EE lines sharing one digest is exactly the "EE outputs
-    // bit-identical to plain" claim made visible.
-    let mut digest = pl_sim::Fnv64::new();
-    for word in words {
-        for &b in word {
-            digest.mix(u64::from(b));
-        }
-    }
     // An all-constant-output netlist completes in 0 ns; its throughput is
     // reported as instantaneous rather than printing `inf vectors/ns`.
     let throughput = if stream.throughput.is_finite() {
@@ -1255,7 +943,7 @@ fn print_streamed(label: &str, window: usize, stream: &pl_sim::StreamOutcome, wo
     println!(
         "  streamed {label} (window {window}): makespan {:.2} ns, {throughput}, digest {:#018x}",
         stream.makespan,
-        digest.finish(),
+        pl_serve::outputs_digest(words),
     );
 }
 

@@ -7,32 +7,10 @@
 use pl_boolfn::TruthTable;
 use pl_core::PlNetlist;
 use pl_netlist::{Netlist, NodeId};
+use pl_sim::checkpoint::wire::crc32;
 use pl_sim::{DelayModel, PlSimulator, SimCheckpoint, SimError};
 use pl_techmap::{map_to_lut4, MapOptions};
 use proptest::prelude::*;
-
-/// IEEE CRC32 (reflected, polynomial `0xEDB8_8320`) — reimplemented
-/// here because the wire module's helpers are `pub(crate)`. The
-/// `crc32_check_value` test pins it to the standard check value, and
-/// `roundtrip_is_identity` implicitly pins it to the encoder's CRC
-/// (a mismatch would make every re-fixed frame fail decoding for the
-/// wrong reason).
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-#[test]
-fn crc32_check_value() {
-    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-}
 
 /// Byte offsets of each section's length field (the u64 right after the
 /// tag byte) in a pristine encoding, in wire order: HEADER, STATE,

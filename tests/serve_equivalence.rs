@@ -125,8 +125,8 @@ fn concurrent_sessions_match_in_process_runs() {
             cases.push((design, v.clone(), expected));
         }
     }
-    // Capacity below the working set: the 9 keys churn through 4 slots
-    // while 6 sessions hammer them in different orders.
+    // Capacity below the working set: the 6 compile keys churn through 4
+    // slots while 6 sessions hammer them in different orders.
     let (addr, handle) = start_server(4);
     std::thread::scope(|scope| {
         for t in 0..6 {
@@ -153,8 +153,10 @@ fn concurrent_sessions_match_in_process_runs() {
         }
     });
     let s = stats(addr);
-    assert!(s.misses >= 9, "every key compiled at least once: {s:?}");
-    assert!(s.evictions > 0, "capacity 4 under 9 keys must churn: {s:?}");
+    // Six compile keys: the EE scalar and EE 64-lane variants differ
+    // only in sweep options, so they share a compile.
+    assert!(s.misses >= 6, "every key compiled at least once: {s:?}");
+    assert!(s.evictions > 0, "capacity 4 under 6 keys must churn: {s:?}");
     assert_eq!(s.malformed, 0);
     shutdown(addr);
     handle.join().expect("server thread");
@@ -203,80 +205,197 @@ fn lru_eviction_is_deterministic_and_recompiles_identically() {
     handle.join().expect("server thread");
 }
 
+/// The in-process reference for an Eco request: one session under the
+/// request's options, one single-edit batch per spec, exactly like
+/// `plc eco`. Returns the initial and per-edit digests.
+fn in_process_eco(
+    design: &DesignSpec,
+    options: &RequestOptions,
+    edit_specs: &[&str],
+) -> (DigestTriple, Vec<DigestTriple>) {
+    let mut session = Pipeline::new(options.to_flow_options())
+        .eco_session(&source_of(design))
+        .expect("in-process session");
+    let initial = DigestTriple {
+        mapped_fp: session.artifacts().mapped.fingerprint(),
+        phased_fp: session.artifacts().plain.fingerprint(),
+        outputs_digest: outputs_digest(&session.artifacts().outputs),
+    };
+    let mut per_edit = Vec::new();
+    for spec in edit_specs {
+        let edit = EcoEdit::parse(spec).expect("valid edit");
+        let out = session
+            .apply_eco(std::slice::from_ref(&edit))
+            .expect("apply");
+        per_edit.push(DigestTriple {
+            mapped_fp: out.eco.mapped_fingerprint,
+            phased_fp: out.eco.phased_fingerprint,
+            outputs_digest: outputs_digest(&session.artifacts().outputs),
+        });
+    }
+    (initial, per_edit)
+}
+
+/// Sends one Eco request; returns its cache flag, initial digests and
+/// per-edit digests.
+fn eco_digests(
+    addr: SocketAddr,
+    design: &DesignSpec,
+    options: &RequestOptions,
+    edit_specs: &[&str],
+) -> (bool, DigestTriple, Vec<DigestTriple>) {
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    match client
+        .expect_ok(&Request::Eco {
+            design: design.clone(),
+            options: options.clone(),
+            edits: edit_specs.iter().map(|s| s.to_string()).collect(),
+        })
+        .expect("eco request")
+    {
+        Response::EcoOk {
+            cache_hit,
+            initial,
+            edits,
+            ..
+        } => (cache_hit, initial, edits.iter().map(|e| e.digest).collect()),
+        other => panic!("expected EcoOk, got {other:?}"),
+    }
+}
+
+fn b06_blif() -> DesignSpec {
+    DesignSpec::BlifText {
+        name: "b06".to_string(),
+        text: std::fs::read_to_string("assets/blif/b06.blif").expect("vendored BLIF"),
+    }
+}
+
 /// ECO edits against a warm cache entry: the daemon's per-edit digest
 /// trail must match an in-process `EcoSession` applying the same edits
 /// one batch at a time — and the warm entry must still answer a plain
 /// compile with the un-edited design afterwards.
 #[test]
 fn eco_on_warm_entry_matches_in_process_session() {
-    let text = std::fs::read_to_string("assets/blif/b06.blif").expect("vendored BLIF");
-    let design = DesignSpec::BlifText {
-        name: "b06".to_string(),
-        text,
-    };
+    let design = b06_blif();
     let options = RequestOptions {
         vectors: 40,
         ee: true,
         ..RequestOptions::default()
     };
     let edit_specs = ["table:n8:0x6", "rewire:n12:0:n5"];
-
-    // In-process reference: one session, one single-edit batch per
-    // spec, exactly like `plc eco`.
-    let mut session = Pipeline::new(options.to_flow_options())
-        .eco_session(&source_of(&design))
-        .expect("in-process session");
-    let initial_expected = DigestTriple {
-        mapped_fp: session.artifacts().mapped.fingerprint(),
-        phased_fp: session.artifacts().plain.fingerprint(),
-        outputs_digest: outputs_digest(&session.artifacts().outputs),
-    };
-    let mut expected = Vec::new();
-    for spec in edit_specs {
-        let edit = EcoEdit::parse(spec).expect("valid edit");
-        let out = session
-            .apply_eco(std::slice::from_ref(&edit))
-            .expect("apply");
-        expected.push(DigestTriple {
-            mapped_fp: out.eco.mapped_fingerprint,
-            phased_fp: out.eco.phased_fingerprint,
-            outputs_digest: outputs_digest(&session.artifacts().outputs),
-        });
-    }
+    let (initial_expected, expected) = in_process_eco(&design, &options, &edit_specs);
 
     let (addr, handle) = start_server(4);
     // Warm the entry, then edit it.
     let (compile_d, hit) = compile_digest(addr, &design, &options);
     assert!(!hit);
     assert_eq!(compile_d, initial_expected);
-    let mut client = Client::connect(&addr.to_string()).expect("connect");
-    let response = client
-        .expect_ok(&Request::Eco {
-            design: design.clone(),
-            options: options.clone(),
-            edits: edit_specs.iter().map(|s| s.to_string()).collect(),
-        })
-        .expect("eco request");
-    match response {
-        Response::EcoOk {
-            cache_hit,
-            initial,
-            edits,
-            ..
-        } => {
-            assert!(cache_hit, "edits ran against the warm entry");
-            assert_eq!(initial, initial_expected);
-            let got: Vec<DigestTriple> = edits.iter().map(|e| e.digest).collect();
-            assert_eq!(got, expected, "per-edit digest trail diverged");
-        }
-        other => panic!("expected EcoOk, got {other:?}"),
-    }
+    let (cache_hit, initial, got) = eco_digests(addr, &design, &options, &edit_specs);
+    assert!(cache_hit, "edits ran against the warm entry");
+    assert_eq!(initial, initial_expected);
+    assert_eq!(got, expected, "per-edit digest trail diverged");
     // The warm entry still serves the un-edited design.
     let (after, hit) = compile_digest(addr, &design, &options);
     assert!(hit);
     assert_eq!(after, initial_expected, "entry stayed pristine");
     let s = stats(addr);
     assert_eq!(s.eco_edits, edit_specs.len() as u64);
+    shutdown(addr);
+    handle.join().expect("server thread");
+}
+
+/// A Compile that differs from the warm entry only in its sweep options
+/// (vectors, seed, jobs, queue, window, lanes, verify) is a hit on that
+/// entry, answered with the digests of an in-process run under its own
+/// options. The request that compiled the entry still gets its own sweep.
+#[test]
+fn sweep_option_variants_hit_the_warm_compile() {
+    let (addr, handle) = start_server(2);
+    let design = DesignSpec::Spec("b06".into());
+    let base = RequestOptions {
+        vectors: 20,
+        ee: true,
+        ..RequestOptions::default()
+    };
+    let (first, hit) = compile_digest(addr, &design, &base);
+    assert!(!hit);
+    assert_eq!(first, in_process_digest(&design, &base));
+    let variants = [
+        RequestOptions {
+            vectors: 33,
+            ..base.clone()
+        },
+        RequestOptions {
+            seed: 9,
+            ..base.clone()
+        },
+        RequestOptions {
+            jobs: 2,
+            ..base.clone()
+        },
+        RequestOptions {
+            queue: pl_flow::QueueKind::Ladder,
+            ..base.clone()
+        },
+        RequestOptions {
+            window: Some(4),
+            ..base.clone()
+        },
+        RequestOptions {
+            lanes: Some(64),
+            vectors: 70,
+            ..base.clone()
+        },
+        RequestOptions {
+            verify: true,
+            ..base.clone()
+        },
+    ];
+    for v in &variants {
+        let (got, hit) = compile_digest(addr, &design, v);
+        assert!(hit, "{v:?}");
+        assert_eq!(got, in_process_digest(&design, v), "{v:?}");
+    }
+    let (again, hit) = compile_digest(addr, &design, &base);
+    assert!(hit);
+    assert_eq!(again, first);
+    let s = stats(addr);
+    assert_eq!((s.entries, s.hits, s.misses), (1, 8, 1), "{s:?}");
+    shutdown(addr);
+    handle.join().expect("server thread");
+}
+
+/// An Eco request whose vectors differ from those the entry was compiled
+/// under is a hit: the daemon re-targets its copy of the session to the
+/// request's options, so the initial and per-edit digests equal an
+/// in-process session compiled under them, and the entry keeps its own.
+#[test]
+fn eco_with_other_vectors_hits_and_matches_in_process_session() {
+    let design = b06_blif();
+    let compiled_under = RequestOptions {
+        vectors: 40,
+        ee: true,
+        ..RequestOptions::default()
+    };
+    let options = RequestOptions {
+        vectors: 25,
+        verify: true,
+        ..compiled_under.clone()
+    };
+    let edit_specs = ["table:n8:0x6", "rewire:n12:0:n5"];
+    let (initial_expected, expected) = in_process_eco(&design, &options, &edit_specs);
+
+    let (addr, handle) = start_server(4);
+    let (entry, hit) = compile_digest(addr, &design, &compiled_under);
+    assert!(!hit);
+    let (cache_hit, initial, got) = eco_digests(addr, &design, &options, &edit_specs);
+    assert!(cache_hit, "the edits share the warm compile");
+    assert_eq!(initial, initial_expected);
+    assert_ne!(initial.outputs_digest, entry.outputs_digest);
+    assert_eq!(got, expected, "per-edit digest trail diverged");
+    let (after, hit) = compile_digest(addr, &design, &compiled_under);
+    assert!(hit);
+    assert_eq!(after, entry, "entry stayed pristine");
     shutdown(addr);
     handle.join().expect("server thread");
 }
@@ -531,6 +650,59 @@ fn huge_vector_count_is_rejected_and_daemon_survives() {
                 ..RequestOptions::default()
             }
         )
+    );
+    shutdown(addr);
+    handle.join().expect("server thread");
+}
+
+/// Regression: a wide design at a vector count `validate()` accepts used
+/// to make the daemon allocate the whole vectors × inputs stream (about
+/// 5 GB for 5,000 inputs at `MAX_VECTORS`, in one accepted frame). Past
+/// the input-bit cap it must get a typed `ERR_OPTIONS` answer, and the
+/// same daemon must then answer the next request.
+#[test]
+fn input_bit_cap_is_rejected_and_daemon_survives() {
+    let (addr, handle) = start_server(2);
+    let inputs: Vec<String> = (0..1024).map(|i| format!("i{i}")).collect();
+    let design = DesignSpec::BlifText {
+        name: "wide".into(),
+        text: format!(
+            ".model wide\n.inputs {}\n.outputs y\n.names i0 i1 y\n10 1\n01 1\n.end\n",
+            inputs.join(" ")
+        ),
+    };
+    let vectors = pl_flow::FlowOptions::MAX_INPUT_BITS / 1024 + 1;
+    let wide = RequestOptions {
+        vectors,
+        window: Some(vectors),
+        no_lint: true,
+        ..RequestOptions::default()
+    };
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    match client
+        .request(&Request::Compile {
+            design,
+            options: wide,
+        })
+        .expect("transport ok")
+    {
+        Response::Error { code, message } => {
+            assert_eq!(code, pl_serve::proto::ERR_OPTIONS, "{message}");
+            assert!(
+                message.contains("--vectors 65537 with 1024 primary inputs is above the maximum"),
+                "{message}"
+            );
+        }
+        other => panic!("expected an options error, got {other:?}"),
+    }
+    let opts = RequestOptions {
+        vectors: 10,
+        ..RequestOptions::default()
+    };
+    let b01 = DesignSpec::Spec("b01".into());
+    assert_eq!(
+        compile_digest(addr, &b01, &opts).0,
+        in_process_digest(&b01, &opts)
     );
     shutdown(addr);
     handle.join().expect("server thread");
