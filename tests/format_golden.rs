@@ -183,7 +183,8 @@ fn pld1_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 
 /// PLD1 request frames: a Compile with every option off its default, and
 /// an Eco on an inline BLIF design with two edits. Each pinned frame must
-/// also decode back to the request it was made from.
+/// also decode back to the request it was made from, and every strict
+/// prefix of its payload must be rejected.
 #[test]
 fn pld1_request_frames_are_pinned() {
     use pl_serve::{DesignSpec, Request, RequestOptions};
@@ -216,10 +217,18 @@ fn pld1_request_frames_are_pinned() {
         let (kind, payload) = request.encode();
         check_golden(file, &pld1_frame(kind, &payload));
         assert_eq!(Request::decode(kind, &payload).unwrap(), request);
+        for len in 0..payload.len() {
+            assert!(
+                Request::decode(kind, &payload[..len]).is_err(),
+                "{file}: a {len}-byte prefix of the payload decoded"
+            );
+        }
     }
 }
 
-/// PLD1 response frames: `CompileOk`, `EcoOk`, `StatsOk` and `Error`.
+/// PLD1 response frames: `CompileOk`, `EcoOk`, `StatsOk` and `Error`,
+/// each decoding back to its response, with every strict payload prefix
+/// rejected.
 #[test]
 fn pld1_response_frames_are_pinned() {
     use pl_serve::{DigestTriple, EcoEditResult, Response, ServerStats};
@@ -284,5 +293,11 @@ fn pld1_response_frames_are_pinned() {
         let (kind, payload) = response.encode();
         check_golden(file, &pld1_frame(kind, &payload));
         assert_eq!(Response::decode(kind, &payload).unwrap(), response);
+        for len in 0..payload.len() {
+            assert!(
+                Response::decode(kind, &payload[..len]).is_err(),
+                "{file}: a {len}-byte prefix of the payload decoded"
+            );
+        }
     }
 }
