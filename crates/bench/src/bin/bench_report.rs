@@ -1,6 +1,6 @@
 //! Machine-readable performance report: `BENCH_sim.json`,
-//! `BENCH_ee_search.json`, `BENCH_parallel.json`, `BENCH_queue.json`,
-//! `BENCH_batch.json` and `BENCH_eco.json`.
+//! `BENCH_ee_search.json`, `BENCH_queue.json`, `BENCH_batch.json` and
+//! `BENCH_eco.json`.
 //!
 //! This is the cross-PR perf trajectory tracker. It measures, in one run:
 //!
@@ -13,12 +13,6 @@
 //! * **Trigger-search throughput** (`BENCH_ee_search.json`) — LUT4 trigger
 //!   searches/sec of the word-parallel search vs the per-assignment
 //!   baseline, and the memoized netlist-level EE transformation time.
-//! * **Parallel sweep scaling** (`BENCH_parallel.json`) — wall-clock of
-//!   the sharded multi-vector sweep (`pl_sim::parallel::sweep_sharded`)
-//!   on streamed b14/b15, sequential vs 4 workers, with a bit-identity
-//!   check between the two runs. The recorded `host_cpus` value is the
-//!   context for the speedup: on a single-core host the parallel run can
-//!   only tie, while the outputs must still match exactly.
 //! * **Event-queue backends** (`BENCH_queue.json`) — events/sec of the
 //!   engine scheduling through the binary heap vs the calendar/ladder
 //!   queue (`pl_sim::QueueKind`) on the same streamed b14/b15 workload,
@@ -168,7 +162,7 @@ fn host_meta_json() -> String {
 const SPEC: pl_flow::cli::CliSpec = pl_flow::cli::CliSpec {
     bin: "bench_report",
     about:
-        "write BENCH_sim.json, BENCH_ee_search.json, BENCH_parallel.json, BENCH_queue.json, BENCH_batch.json and BENCH_eco.json",
+        "write BENCH_sim.json, BENCH_ee_search.json, BENCH_queue.json, BENCH_batch.json and BENCH_eco.json",
     positional: None,
     options: &[
         pl_flow::cli::OptSpec {
@@ -360,74 +354,6 @@ fn main() {
     ee_json.push_str("\n  ]\n}\n");
     std::fs::write("BENCH_ee_search.json", &ee_json).expect("write BENCH_ee_search.json");
     println!("wrote BENCH_ee_search.json");
-
-    // ---- BENCH_parallel.json -------------------------------------------
-    // The sharded multi-vector sweep on the streamed b14/b15 workload:
-    // the same shard schedule run sequentially (jobs=1) and on PAR_WORKERS
-    // threads, merged outcomes asserted bit-identical before any timing is
-    // reported. Timing follows the other sections' protocol: a warm-up
-    // pass of each configuration, then interleaved repetitions with the
-    // minimum kept, so cache warm-up and ordering noise cannot fabricate
-    // a scaling signal. Speedup is bounded by physical cores; `host_cpus`
-    // is recorded so a ~1.0 figure from a single-core CI container is not
-    // mistaken for a scaling regression.
-    const PAR_WORKERS: usize = 4;
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let par_vectors: usize = if quick { 32 } else { 200 };
-    let par_reps = if quick { 2 } else { 5 };
-    let shards = 8usize;
-    let shard_len = par_vectors.div_ceil(shards);
-    let workers = |jobs| pl_sim::SweepConfig {
-        jobs,
-        ..pl_sim::SweepConfig::default()
-    };
-    let mut par_lines = Vec::new();
-    for id in ["b14", "b15"] {
-        let (_, pl) = prepared_netlists(id);
-        let vecs = lcg_vectors(
-            pl.input_gates().len(),
-            par_vectors,
-            0x5EED_0000 + par_vectors as u64,
-        );
-        let delays = DelayModel::default();
-        // Warm-up (also the bit-identity check between the two modes).
-        let seq =
-            pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(1)).expect("sweeps");
-        let par = pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(PAR_WORKERS))
-            .expect("sweeps");
-        assert_eq!(seq, par, "{id}: parallel sweep diverged from sequential");
-        let (mut seq_secs, mut par_secs) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..par_reps {
-            let t0 = Instant::now();
-            let r =
-                pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(1)).expect("sweeps");
-            seq_secs = seq_secs.min(t0.elapsed().as_secs_f64());
-            debug_assert_eq!(r, seq);
-            let t0 = Instant::now();
-            let r = pl_sim::sweep_sharded(&pl, &delays, &vecs, shard_len, workers(PAR_WORKERS))
-                .expect("sweeps");
-            par_secs = par_secs.min(t0.elapsed().as_secs_f64());
-            debug_assert_eq!(r, seq);
-        }
-        println!(
-            "{id}: sharded sweep ({par_vectors} vectors, {shards} shards, min of {par_reps}) sequential {seq_secs:.3}s, {PAR_WORKERS} workers {par_secs:.3}s, speedup {:.2}x (host has {host_cpus} cpu(s)), outputs bit-identical",
-            seq_secs / par_secs,
-        );
-        par_lines.push(format!(
-            "    {{\"bench\": \"{id}\", \"vectors\": {par_vectors}, \"shards\": {shards}, \"workers\": {PAR_WORKERS}, \"reps\": {par_reps}, \"sequential_secs\": {seq_secs:.6}, \"parallel_secs\": {par_secs:.6}, \"speedup\": {:.3}, \"bit_identical\": true}}",
-            seq_secs / par_secs,
-        ));
-    }
-    let mut par_json = format!("{{\n{host_meta}");
-    let _ = writeln!(
-        par_json,
-        "  \"note\": \"secs are the min over reps interleaved repetitions after a warm-up pass; speedup is bounded by host_cpus; bit_identical asserts the parallel merge equals the sequential run exactly\","
-    );
-    par_json.push_str("  \"sharded_sweeps\": [\n");
-    par_json.push_str(&par_lines.join(",\n"));
-    par_json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_parallel.json", &par_json).expect("write BENCH_parallel.json");
-    println!("wrote BENCH_parallel.json");
 
     // ---- BENCH_queue.json ----------------------------------------------
     // Event-queue backend comparison: the same continuous vector stream

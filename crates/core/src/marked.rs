@@ -7,12 +7,16 @@
 //! time" (more precisely: every arc lies on some circuit carrying exactly
 //! one token, which bounds every arc's occupancy to one).
 //!
-//! [`check_liveness`] runs in linear time (Tarjan SCC + cycle check on the
-//! token-free subgraph) and is executed for every constructed netlist.
+//! [`check_liveness`] runs in linear time (the Tarjan search of
+//! [`pl_netlist::scc`], which the netlist and lint layers use too, and a
+//! cycle check on the token-free subgraph) and is executed for every
+//! constructed netlist.
 //! [`check_safety`] does a token-budgeted search per arc and is intended
 //! for tests and small-to-medium designs; the discrete-event simulator
 //! additionally asserts dynamic safety (no arc ever holds two tokens) on
 //! every run.
+
+use pl_netlist::scc;
 
 use crate::error::PlError;
 use crate::gate::{PlArcId, PlGateId};
@@ -31,16 +35,15 @@ use crate::netlist::PlNetlist;
 pub fn check_liveness(pl: &PlNetlist) -> Result<(), PlError> {
     let n = pl.gates().len();
     // (a) SCCs over all arcs.
-    let adj_all: Vec<Vec<usize>> = adjacency(pl, |_| true);
-    let scc = tarjan_scc(&adj_all);
+    let component = scc::component_ids(n, &adjacency(pl, |_| true));
     for (i, arc) in pl.arcs().iter().enumerate() {
-        if scc[arc.src().index()] != scc[arc.dst().index()] {
+        if component[arc.src().index()] != component[arc.dst().index()] {
             return Err(PlError::ArcNotOnCircuit(PlArcId::from_index(i)));
         }
     }
     // (b) token-free subgraph must be acyclic.
     let adj0: Vec<Vec<usize>> = adjacency(pl, |a| pl.arcs()[a].init_tokens() == 0);
-    if let Some(g) = find_cycle_node(&adj0, n) {
+    if let Some(g) = cycle_gate(&adj0) {
         return Err(PlError::ZeroTokenCycle(PlGateId::from_index(g)));
     }
     Ok(())
@@ -115,80 +118,20 @@ fn adjacency(pl: &PlNetlist, keep: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
     adj
 }
 
-/// Iterative Tarjan strongly-connected components; returns component id per
-/// node.
-fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comp = vec![usize::MAX; n];
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    // Explicit DFS stack: (node, child iterator position).
-    let mut call: Vec<(usize, usize)> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        call.push((start, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci < adj[v].len() {
-                let w = adj[v][*ci];
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&mut (parent, _)) = call.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("scc stack underflow");
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-            }
-        }
-    }
-    comp
-}
-
-/// Finds any node on a directed cycle (None if the graph is acyclic).
-fn find_cycle_node(adj: &[Vec<usize>], n: usize) -> Option<usize> {
+/// A gate on a directed cycle of `succ`, or `None` if it is acyclic. A
+/// Kahn peel settles the acyclic case cheaply; only when gates are left
+/// over does [`scc::first_cycle`] find a cycle to name a gate *on* it.
+fn cycle_gate(succ: &[Vec<usize>]) -> Option<usize> {
+    let n = succ.len();
     let mut indeg = vec![0usize; n];
-    for succ in adj {
-        for &s in succ {
-            indeg[s] += 1;
-        }
+    for &s in succ.iter().flatten() {
+        indeg[s] += 1;
     }
     let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut seen = 0usize;
     while let Some(i) = queue.pop() {
         seen += 1;
-        for &s in &adj[i] {
+        for &s in &succ[i] {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 queue.push(s);
@@ -198,7 +141,7 @@ fn find_cycle_node(adj: &[Vec<usize>], n: usize) -> Option<usize> {
     if seen == n {
         None
     } else {
-        (0..n).find(|&i| indeg[i] > 0)
+        scc::first_cycle(n, succ).map(|cycle| cycle[0])
     }
 }
 
@@ -307,20 +250,15 @@ mod tests {
     }
 
     #[test]
-    fn tarjan_components() {
-        // 0 -> 1 -> 0 cycle; 2 isolated
-        let adj = vec![vec![1], vec![0], vec![]];
-        let scc = tarjan_scc(&adj);
-        assert_eq!(scc[0], scc[1]);
-        assert_ne!(scc[0], scc[2]);
-    }
-
-    #[test]
     fn cycle_detection() {
         let cyclic = vec![vec![1], vec![2], vec![0]];
-        assert!(find_cycle_node(&cyclic, 3).is_some());
+        assert!(cycle_gate(&cyclic).is_some());
         let acyclic = vec![vec![1], vec![2], vec![]];
-        assert!(find_cycle_node(&acyclic, 3).is_none());
+        assert!(cycle_gate(&acyclic).is_none());
+        // 1 <-> 2 is the cycle and 0 hangs off it (1 -> 0): gate 0 keeps
+        // in-degree after the peel but is not on the cycle.
+        let downstream = vec![vec![], vec![2, 0], vec![1]];
+        assert_eq!(cycle_gate(&downstream), Some(1));
     }
 
     #[test]

@@ -186,13 +186,15 @@ impl CliSpec {
     }
 
     /// [`CliSpec::parse`], printing help to stdout (exit 0) or a usage
-    /// error to stderr (exit 2) as appropriate.
+    /// error to stderr (exit 2) as appropriate. Help exits 0 even when
+    /// stdout is closed early (`--help | head -3`).
     #[must_use]
     pub fn parse_or_exit(&self, args: &[String]) -> ParsedArgs {
         match self.parse(args) {
             Ok(parsed) => parsed,
             Err(CliError::Help(text)) => {
-                println!("{text}");
+                use std::io::Write as _;
+                let _ = writeln!(std::io::stdout(), "{text}");
                 std::process::exit(0);
             }
             Err(CliError::Usage(msg)) => self.exit_usage(&msg),

@@ -409,6 +409,12 @@ impl EcoSession {
         &self.artifacts
     }
 
+    /// Closes the session and keeps only its artifacts.
+    #[must_use]
+    pub(crate) fn into_artifacts(self) -> FlowArtifacts {
+        self.artifacts
+    }
+
     /// The pipeline the session compiles with. Its compile fields are
     /// fixed for the session; its simulation fields follow
     /// [`EcoSession::retarget`].
@@ -674,10 +680,10 @@ impl EcoSession {
     }
 }
 
-/// The back half of a compile, shared by the initial build and the
-/// non-skip incremental path: phased → lint → EE (cached) → simulate →
-/// verify, assembled into [`FlowArtifacts`] exactly like
-/// [`Pipeline::run`]. Returns the artifacts plus the phased fingerprint.
+/// The back half of a compile, shared by the initial build (and so by
+/// [`Pipeline::run`]) and the non-skip incremental path: phased → lint →
+/// EE (cached) → simulate → verify, assembled into [`FlowArtifacts`].
+/// Returns the artifacts plus the phased fingerprint.
 fn downstream(
     p: &Pipeline,
     mapped: Mapped,

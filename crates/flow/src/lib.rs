@@ -253,6 +253,16 @@ mod tests {
             ),
             (
                 FlowOptions {
+                    map: pl_techmap::MapOptions {
+                        lut_size: 5,
+                        ..base.map.clone()
+                    },
+                    ..base.clone()
+                },
+                "--lut-size 5 is outside the supported range 2..=4",
+            ),
+            (
+                FlowOptions {
                     window: Some(0),
                     ..base.clone()
                 },

@@ -219,7 +219,8 @@ impl FlowOptions {
     /// programmatic callers (the `pld` daemon building options from
     /// network requests, library embedders) cannot silently bypass them:
     ///
-    /// * a LUT arity outside `2..=6`,
+    /// * a LUT arity outside `2..=4` (the PL gate is a LUT4, so a wider
+    ///   map could never reach the phased stage),
     /// * more than [`FlowOptions::MAX_VECTORS`] vectors,
     /// * a zero streaming window,
     /// * a lane width other than 1 or 64,
@@ -241,9 +242,9 @@ impl FlowOptions {
     /// [`FlowError::Options`] naming the first offending combination.
     pub fn validate(&self) -> Result<(), FlowError> {
         let reject = |message: String| Err(FlowError::Options { message });
-        if !(2..=6).contains(&self.map.lut_size) {
+        if !(2..=4).contains(&self.map.lut_size) {
             return reject(format!(
-                "--lut-size {} is outside the supported range 2..=6",
+                "--lut-size {} is outside the supported range 2..=4",
                 self.map.lut_size
             ));
         }
@@ -1114,60 +1115,13 @@ impl Pipeline {
         })
     }
 
-    /// Runs the whole chain on one source.
+    /// Runs the whole chain on one source: the compile of
+    /// [`crate::EcoSession::new`], whose artifacts it returns.
     ///
     /// # Errors
     ///
     /// Propagates the first failing stage's error.
     pub fn run(&self, source: &CircuitSource) -> Result<FlowArtifacts, FlowError> {
-        self.opts.validate()?;
-        let ingested = self.ingest(source)?;
-        let ingest_report = ingested.report.clone();
-        let lint_report = if self.opts.lint.enabled {
-            Some(self.lint(&ingested)?)
-        } else {
-            None
-        };
-        let optimized = self.optimize(ingested)?;
-        let optimize_report = optimized.report.clone();
-        let mapped = self.techmap(optimized)?;
-        let phased = self.phased(&mapped)?;
-        let phased_report = phased.report.clone();
-        let lint_pl_report = if self.opts.lint.enabled {
-            Some(self.lint_phased(&phased)?)
-        } else {
-            None
-        };
-        let early = self.early_eval(phased);
-        let (sim, verify) = self.simulate_and_verify(
-            &early.name,
-            &early.plain,
-            early.ee.as_ref(),
-            &mapped.netlist,
-        )?;
-        Ok(FlowArtifacts {
-            name: early.name.clone(),
-            report: FlowReport {
-                ingest: ingest_report,
-                lint: lint_report,
-                optimize: optimize_report,
-                techmap: mapped.report,
-                phased: phased_report,
-                lint_pl: lint_pl_report,
-                early_eval: early.report,
-                simulate: sim.report,
-                verify,
-            },
-            mapped: mapped.netlist,
-            plain: early.plain,
-            ee: early.ee,
-            pairs: early.pairs,
-            inputs: sim.inputs,
-            outputs: sim.outputs,
-            stats_plain: sim.stats_plain,
-            stats_ee: sim.stats_ee,
-            stream_plain: sim.stream_plain,
-            stream_ee: sim.stream_ee,
-        })
+        Ok(self.eco_session(source)?.into_artifacts())
     }
 }

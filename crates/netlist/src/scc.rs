@@ -1,29 +1,32 @@
 //! Hand-rolled strongly-connected-component machinery.
 //!
-//! Shared by [`crate::analyze::comb_topo_order`]'s cycle reporting and the
+//! Shared by [`crate::analyze::comb_topo_order`]'s cycle reporting, the
 //! `pl-lint` diagnostics pass (combinational-cycle and zero-delay-feedback
-//! lints), so every layer that names a cycle names the *same* cycle: the
-//! graph is walked deterministically (roots in index order, successors in
-//! adjacency order) and every returned component or path is canonicalized.
+//! lints) and the phased-logic liveness check
+//! (`pl_core::marked::check_liveness`), so every layer that names a cycle
+//! names the *same* cycle: the graph is walked deterministically (roots in
+//! index order, successors in adjacency order) and every returned
+//! component or path is canonicalized.
 //!
 //! The implementation is Tarjan's algorithm made iterative (an explicit
 //! state stack instead of recursion), so deep combinational chains cannot
-//! overflow the call stack.
+//! overflow the call stack. [`component_ids`] is the search itself, in
+//! linear time; [`tarjan_sccs`] lists its components in canonical order.
 
-/// Strongly connected components of a directed graph over nodes `0..n`.
-///
-/// `succ[v]` lists the successors of `v`. Deterministic by construction:
-/// each component's nodes are sorted ascending and the component list is
-/// sorted by its smallest node.
+/// The strongly connected component of every node of a directed graph
+/// over nodes `0..n`: two nodes get the same id exactly when they lie in
+/// the same component. Ids run from 0 in the order the search completes
+/// the components. `succ[v]` lists the successors of `v`.
 #[must_use]
-pub fn tarjan_sccs(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+pub fn component_ids(n: usize, succ: &[Vec<usize>]) -> Vec<usize> {
     const UNVISITED: usize = usize::MAX;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut components: Vec<Vec<usize>> = Vec::new();
+    let mut ids = vec![UNVISITED; n];
+    let mut next_id = 0usize;
     // Explicit DFS frames: (node, next successor position to examine).
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
@@ -56,22 +59,41 @@ pub fn tarjan_sccs(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
                     loop {
                         let w = stack.pop().expect("tarjan stack invariant");
                         on_stack[w] = false;
-                        comp.push(w);
+                        ids[w] = next_id;
                         if w == v {
                             break;
                         }
                     }
-                    comp.sort_unstable();
-                    components.push(comp);
+                    next_id += 1;
                 }
             }
         }
     }
-    components.sort_unstable_by_key(|c| c[0]);
+    ids
+}
+
+/// Strongly connected components of a directed graph over nodes `0..n`.
+///
+/// `succ[v]` lists the successors of `v`. Deterministic by construction:
+/// each component's nodes are sorted ascending and the component list is
+/// sorted by its smallest node.
+#[must_use]
+pub fn tarjan_sccs(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let ids = component_ids(n, succ);
+    // Visiting the nodes in ascending order sorts every component and
+    // orders the components by their smallest node.
+    let mut slot = vec![usize::MAX; ids.iter().max().map_or(0, |&m| m + 1)];
+    let mut components: Vec<Vec<usize>> = Vec::new();
+    for (v, &id) in ids.iter().enumerate() {
+        if slot[id] == usize::MAX {
+            slot[id] = components.len();
+            components.push(Vec::new());
+        }
+        components[slot[id]].push(v);
+    }
     components
 }
 
@@ -158,6 +180,8 @@ mod tests {
         let succ = vec![vec![1], vec![2], vec![1]];
         let comps = tarjan_sccs(3, &succ);
         assert!(comps.contains(&vec![1, 2]));
+        let ids = component_ids(3, &succ);
+        assert!(ids[1] == ids[2] && ids[0] != ids[1]);
         assert_eq!(first_cycle(3, &succ), Some(vec![1, 2]));
     }
 

@@ -2,6 +2,7 @@
 //! validation and the compile pipeline itself.
 
 use pl_flow::FlowError;
+use pl_sim::DecodeError;
 
 /// Errors from the `pld` protocol and the services behind it.
 ///
@@ -66,5 +67,15 @@ impl std::error::Error for ServeError {}
 impl From<FlowError> for ServeError {
     fn from(e: FlowError) -> Self {
         ServeError::Flow(e)
+    }
+}
+
+/// A payload that fails to decode is a malformed request: the server
+/// answers `ERR_REQUEST` and keeps the connection.
+impl From<DecodeError> for ServeError {
+    fn from(e: DecodeError) -> Self {
+        ServeError::Request {
+            message: e.to_string(),
+        }
     }
 }

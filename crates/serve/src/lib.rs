@@ -5,11 +5,11 @@
 //! long-lived server should compile once and answer many sessions from
 //! the warm artifact. This crate is that server, as a library:
 //!
-//! * [`wire`] — hand-rolled length-prefixed framing over TCP, in the
-//!   style of `pl_sim::checkpoint::wire`: magic, kind byte, bounded
-//!   length, payload CRC32. Every malformed-frame class is rejected
-//!   typed — never a panic, never a hang (per-connection read
-//!   timeouts), never an attacker-sized allocation.
+//! * [`wire`] — hand-rolled length-prefixed framing over TCP: magic,
+//!   kind byte, bounded length, payload CRC32; payloads decode through
+//!   `pl_sim::checkpoint::wire`'s bounded `Reader`. Every malformed-frame
+//!   class is rejected typed — never a panic, never a hang
+//!   (per-connection read timeouts), never an attacker-sized allocation.
 //! * [`proto`] — the request/response model. Requests carry the same
 //!   options as the `plc` command line ([`RequestOptions`] expands to
 //!   `FlowOptions` with identical wiring, then goes through

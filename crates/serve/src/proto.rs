@@ -24,8 +24,9 @@
 //! a skewed client cannot silently get different semantics.
 
 use crate::error::ServeError;
-use crate::wire::{push_string, Cursor};
-use pl_flow::{FlowOptions, QueueKind};
+use crate::wire::{push_string, read_string};
+use pl_flow::{FlowArtifacts, FlowOptions, QueueKind};
+use pl_sim::checkpoint::wire::Reader;
 use pl_sim::Fnv64;
 
 /// Request kind bytes.
@@ -106,12 +107,12 @@ impl DesignSpec {
         }
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, ServeError> {
+    fn decode(c: &mut Reader<'_>) -> Result<Self, ServeError> {
         match c.u8("design tag")? {
-            0 => Ok(DesignSpec::Spec(c.string("design spec")?)),
+            0 => Ok(DesignSpec::Spec(read_string(c, "design spec")?)),
             1 => Ok(DesignSpec::BlifText {
-                name: c.string("design name")?,
-                text: c.string("design text")?,
+                name: read_string(c, "design name")?,
+                text: read_string(c, "design text")?,
             }),
             other => Err(ServeError::Request {
                 message: format!("unknown design tag {other}"),
@@ -246,7 +247,7 @@ impl RequestOptions {
         encode_opt(out, self.lanes);
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, ServeError> {
+    fn decode(c: &mut Reader<'_>) -> Result<Self, ServeError> {
         let vectors = usize_field(c, "vectors")?;
         let seed = c.u64("seed")?;
         let jobs = usize_field(c, "jobs")?;
@@ -310,7 +311,7 @@ fn encode_opt(out: &mut Vec<u8>, v: Option<usize>) {
     }
 }
 
-fn decode_opt(c: &mut Cursor<'_>, what: &'static str) -> Result<Option<usize>, ServeError> {
+fn decode_opt(c: &mut Reader<'_>, what: &'static str) -> Result<Option<usize>, ServeError> {
     match c.u8(what)? {
         0 => Ok(None),
         1 => Ok(Some(usize_field(c, what)?)),
@@ -320,7 +321,7 @@ fn decode_opt(c: &mut Cursor<'_>, what: &'static str) -> Result<Option<usize>, S
     }
 }
 
-fn usize_field(c: &mut Cursor<'_>, what: &'static str) -> Result<usize, ServeError> {
+fn usize_field(c: &mut Reader<'_>, what: &'static str) -> Result<usize, ServeError> {
     let raw = c.u64(what)?;
     usize::try_from(raw).map_err(|_| ServeError::Request {
         message: format!("{what}: {raw} does not fit this target"),
@@ -388,27 +389,20 @@ impl Request {
     /// [`ServeError::Request`] for unknown kinds, out-of-domain fields
     /// or trailing bytes.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Self, ServeError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let req = match kind {
             REQ_COMPILE => Request::Compile {
                 design: DesignSpec::decode(&mut c)?,
                 options: RequestOptions::decode(&mut c)?,
             },
-            REQ_ECO => {
-                let design = DesignSpec::decode(&mut c)?;
-                let options = RequestOptions::decode(&mut c)?;
+            REQ_ECO => Request::Eco {
+                design: DesignSpec::decode(&mut c)?,
+                options: RequestOptions::decode(&mut c)?,
                 // Each edit is at least a length prefix (8 bytes).
-                let n = c.count(8, "edit count")?;
-                let mut edits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    edits.push(c.string("edit spec")?);
-                }
-                Request::Eco {
-                    design,
-                    options,
-                    edits,
-                }
-            }
+                edits: (0..c.count(8, "edit count")?)
+                    .map(|_| read_string(&mut c, "edit spec"))
+                    .collect::<Result<_, _>>()?,
+            },
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
             other => {
@@ -435,13 +429,23 @@ pub struct DigestTriple {
 }
 
 impl DigestTriple {
+    /// The digests of compiled artifacts whose sweep produced `outputs`.
+    #[must_use]
+    pub fn of(art: &FlowArtifacts, outputs: &[Vec<bool>]) -> Self {
+        DigestTriple {
+            mapped_fp: art.mapped.fingerprint(),
+            phased_fp: art.plain.fingerprint(),
+            outputs_digest: crate::digest::outputs_digest(outputs),
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.mapped_fp.to_le_bytes());
         out.extend_from_slice(&self.phased_fp.to_le_bytes());
         out.extend_from_slice(&self.outputs_digest.to_le_bytes());
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, ServeError> {
+    fn decode(c: &mut Reader<'_>) -> Result<Self, ServeError> {
         Ok(DigestTriple {
             mapped_fp: c.u64("mapped fingerprint")?,
             phased_fp: c.u64("phased fingerprint")?,
@@ -591,37 +595,31 @@ impl Response {
     /// [`ServeError::Request`] for unknown kinds, out-of-domain fields
     /// or trailing bytes.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Self, ServeError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let resp = match kind {
             RESP_COMPILE => Response::CompileOk {
-                name: c.string("name")?,
-                cache_hit: decode_bool(&mut c, "cache flag")?,
+                name: read_string(&mut c, "name")?,
+                cache_hit: c.bool("cache flag")?,
                 luts: c.u64("luts")?,
                 gates: c.u64("gates")?,
                 pairs: c.u64("pairs")?,
                 digest: DigestTriple::decode(&mut c)?,
             },
-            RESP_ECO => {
-                let name = c.string("name")?;
-                let cache_hit = decode_bool(&mut c, "cache flag")?;
-                let initial = DigestTriple::decode(&mut c)?;
+            RESP_ECO => Response::EcoOk {
+                name: read_string(&mut c, "name")?,
+                cache_hit: c.bool("cache flag")?,
+                initial: DigestTriple::decode(&mut c)?,
                 // Spec length prefix (8) + dirty (8) + triple (24).
-                let n = c.count(40, "edit result count")?;
-                let mut edits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    edits.push(EcoEditResult {
-                        spec: c.string("edit spec")?,
-                        dirty_nodes: c.u64("dirty nodes")?,
-                        digest: DigestTriple::decode(&mut c)?,
-                    });
-                }
-                Response::EcoOk {
-                    name,
-                    cache_hit,
-                    initial,
-                    edits,
-                }
-            }
+                edits: (0..c.count(40, "edit result count")?)
+                    .map(|_| {
+                        Ok(EcoEditResult {
+                            spec: read_string(&mut c, "edit spec")?,
+                            dirty_nodes: c.u64("dirty nodes")?,
+                            digest: DigestTriple::decode(&mut c)?,
+                        })
+                    })
+                    .collect::<Result<_, ServeError>>()?,
+            },
             RESP_STATS => Response::StatsOk(ServerStats {
                 entries: c.u64("entries")?,
                 capacity: c.u64("capacity")?,
@@ -634,7 +632,7 @@ impl Response {
             RESP_SHUTDOWN => Response::ShutdownOk,
             RESP_ERROR => Response::Error {
                 code: c.u16("error code")?,
-                message: c.string("error message")?,
+                message: read_string(&mut c, "error message")?,
             },
             other => {
                 return Err(ServeError::Request {
@@ -644,16 +642,6 @@ impl Response {
         };
         c.expect_end("response")?;
         Ok(resp)
-    }
-}
-
-fn decode_bool(c: &mut Cursor<'_>, what: &'static str) -> Result<bool, ServeError> {
-    match c.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(ServeError::Request {
-            message: format!("{what}: {other} is not a boolean"),
-        }),
     }
 }
 

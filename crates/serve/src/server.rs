@@ -33,7 +33,7 @@ use crate::proto::{
     ERR_FLOW, ERR_FRAME, ERR_OPTIONS, ERR_REQUEST,
 };
 use crate::wire::{read_frame, write_frame};
-use pl_flow::{CircuitSource, EcoEdit, FlowArtifacts, FlowError, Pipeline};
+use pl_flow::{CircuitSource, EcoEdit, FlowError, Pipeline};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -286,16 +286,6 @@ fn warm_entry(
     Ok((compiled, false))
 }
 
-/// The digest triple of compiled artifacts whose sweep produced
-/// `outputs`.
-fn digest_triple(art: &FlowArtifacts, outputs: &[Vec<bool>]) -> DigestTriple {
-    DigestTriple {
-        mapped_fp: art.mapped.fingerprint(),
-        phased_fp: art.plain.fingerprint(),
-        outputs_digest: outputs_digest(outputs),
-    }
-}
-
 fn compile(
     design: DesignSpec,
     options: RequestOptions,
@@ -306,10 +296,10 @@ fn compile(
     // The entry's retained sweep ran under the options that compiled it;
     // any other request sweeps the shared compile under its own.
     let digest = if warm.options == options {
-        digest_triple(art, &art.outputs)
+        DigestTriple::of(art, &art.outputs)
     } else {
         let (sim, _) = warm.session.resweep(&options.to_flow_options())?;
-        digest_triple(art, &sim.outputs)
+        DigestTriple::of(art, &sim.outputs)
     };
     Ok(Response::CompileOk {
         name: art.name.clone(),
@@ -346,7 +336,7 @@ fn eco(
     if warm.options != options {
         session.retarget(&options.to_flow_options())?;
     }
-    let initial = digest_triple(session.artifacts(), &session.artifacts().outputs);
+    let initial = DigestTriple::of(session.artifacts(), &session.artifacts().outputs);
     let mut results = Vec::with_capacity(parsed.len());
     for (spec, edit) in parsed {
         let out = session.apply_eco(std::slice::from_ref(&edit))?;

@@ -14,12 +14,14 @@
 //! crc32   4 bytes   IEEE CRC32 of the payload
 //! ```
 //!
-//! Payloads are decoded through [`Cursor`], which bounds every length
-//! and count against the bytes actually present before allocating —
-//! the lesson of the checkpoint decoder's 32-bit narrowing bug applies
-//! here from day one.
+//! Payloads decode through the checkpoint decoder's bounded [`Reader`],
+//! which checks every length and count against the bytes actually
+//! present before allocating; a [`pl_sim::DecodeError`] becomes a
+//! [`ServeError::Request`]. [`read_frame`] reads whole frames off the
+//! socket.
 
 use crate::error::ServeError;
+use pl_sim::checkpoint::wire::Reader;
 use std::io::{Read, Write};
 
 /// Frame magic: four bytes so a stray HTTP request or checkpoint file
@@ -154,133 +156,20 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(
     }
 }
 
-/// Bounds-checked payload decoder: every read is validated against the
-/// remaining bytes, lengths are bounded *in u64 space* before narrowing
-/// to `usize`, and decoding must consume the payload exactly
-/// ([`Cursor::expect_end`]).
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Starts decoding `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ServeError> {
-        if n > self.remaining() {
-            return Err(ServeError::Request {
-                message: format!("{what}: needs {n} byte(s), {} remaining", self.remaining()),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// One byte.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] if the payload is exhausted.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, ServeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// A little-endian u16.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] if the payload is exhausted.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, ServeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// A little-endian u64.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] if the payload is exhausted.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A u64 that must fit `usize` and be at most `remaining / min_item_bytes`
-    /// — the pattern for element counts about to drive allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] on exhaustion or an out-of-bounds count.
-    pub fn count(
-        &mut self,
-        min_item_bytes: usize,
-        what: &'static str,
-    ) -> Result<usize, ServeError> {
-        let raw = self.u64(what)?;
-        let limit = (self.remaining() / min_item_bytes.max(1)) as u64;
-        if raw > limit {
-            return Err(ServeError::Request {
-                message: format!("{what}: count {raw} exceeds the in-bounds limit {limit}"),
-            });
-        }
-        usize::try_from(raw).map_err(|_| ServeError::Request {
-            message: format!("{what}: count {raw} does not fit this target"),
-        })
-    }
-
-    /// A length-prefixed UTF-8 string (u64 length, bounded by the
-    /// remaining bytes before any slice or allocation).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] on exhaustion, an oversized length, or
-    /// invalid UTF-8.
-    pub fn string(&mut self, what: &'static str) -> Result<String, ServeError> {
-        let len = self.u64(what)?;
-        if len > self.remaining() as u64 {
-            return Err(ServeError::Request {
-                message: format!(
-                    "{what}: string length {len} exceeds the {} remaining byte(s)",
-                    self.remaining()
-                ),
-            });
-        }
-        let bytes = self.take(len as usize, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ServeError::Request {
-            message: format!("{what}: invalid UTF-8"),
-        })
-    }
-
-    /// Asserts the payload was consumed exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] if bytes trail the decoded value.
-    pub fn expect_end(&self, what: &'static str) -> Result<(), ServeError> {
-        if self.remaining() != 0 {
-            return Err(ServeError::Request {
-                message: format!("{what}: {} trailing byte(s)", self.remaining()),
-            });
-        }
-        Ok(())
-    }
-}
-
 /// Appends a length-prefixed UTF-8 string.
 pub fn push_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u64).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads a string written by [`push_string`], its length bounded by the
+/// bytes left; a short payload, an oversized length or invalid UTF-8 is a
+/// [`ServeError::Request`].
+pub(crate) fn read_string(r: &mut Reader<'_>, what: &'static str) -> Result<String, ServeError> {
+    let len = r.count(1, what)?;
+    String::from_utf8(r.take(len, what)?.to_vec()).map_err(|_| ServeError::Request {
+        message: format!("{what}: invalid UTF-8"),
+    })
 }
 
 #[cfg(test)]
@@ -349,9 +238,12 @@ mod tests {
     fn cursor_bounds_counts_and_strings() {
         let mut payload = Vec::new();
         payload.extend_from_slice(&u64::MAX.to_le_bytes());
-        let mut c = Cursor::new(&payload);
-        assert!(c.count(1, "n").is_err(), "absurd count rejected");
-        let mut c = Cursor::new(&payload);
-        assert!(c.string("s").is_err(), "absurd string length rejected");
+        let mut r = Reader::new(&payload);
+        assert!(r.count(1, "n").is_err(), "absurd count rejected");
+        let mut r = Reader::new(&payload);
+        assert!(
+            read_string(&mut r, "s").is_err(),
+            "absurd string length rejected"
+        );
     }
 }

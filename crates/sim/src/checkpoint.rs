@@ -36,6 +36,10 @@
 //! with [`SimError::CheckpointMismatch`]. The delay model cannot be
 //! cross-checked (it is not part of the netlist) and stays the caller's
 //! responsibility.
+//!
+//! [`PlSimulator`]: crate::PlSimulator
+//! [`PlSimulator::enable_tracing`]: crate::PlSimulator::enable_tracing
+//! [`PlSimulator::restore`]: crate::PlSimulator::restore
 
 pub mod wire;
 
@@ -90,7 +94,7 @@ impl Default for Fnv64 {
 /// the slot-indexed state (record queues, pending inputs) bound to the
 /// right gates even for a builder whose port order could diverge from
 /// gate-creation order (arc topology alone would not see that). Computed
-/// once per simulator ([`PlSimulator::new`]) and carried, so the
+/// once per simulator ([`LaneSimulator::new`]) and carried, so the
 /// resumable sweep's per-window snapshots never re-walk the netlist.
 pub(crate) fn netlist_fingerprint(pl: &PlNetlist) -> u64 {
     let mut h = Fnv64::new();
@@ -117,9 +121,9 @@ pub(crate) fn netlist_fingerprint(pl: &PlNetlist) -> u64 {
     h.finish()
 }
 
-/// The complete dynamic state of a [`PlSimulator`], detached from the
-/// netlist borrow. Create with [`PlSimulator::snapshot`]; rebuild with
-/// [`PlSimulator::resume_from`] or [`PlSimulator::restore`], or
+/// The complete dynamic state of a simulator, detached from the netlist
+/// borrow. Create with [`LaneSimulator::snapshot`]; rebuild with
+/// [`LaneSimulator::resume_from`] or [`LaneSimulator::restore`], or
 /// serialize across the process boundary with
 /// [`SimCheckpoint::to_bytes`] / [`SimCheckpoint::from_bytes`]
 /// ([`wire`]). `PartialEq` compares the full dynamic state — the
@@ -188,8 +192,8 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// to drive it produces exactly the run it would have produced without
     /// the snapshot.
     ///
-    /// Call between vectors (after [`PlSimulator::run_vector`] /
-    /// [`PlSimulator::feed_vector`] returns); the in-flight event queue is
+    /// Call between vectors (after [`Self::run_vector`] /
+    /// [`Self::feed_vector`] returns); the in-flight event queue is
     /// captured too, so tokens still propagating are part of the state.
     #[must_use]
     pub fn snapshot(&self) -> SimCheckpoint<L> {
@@ -272,8 +276,8 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
 
     /// Builds a fresh simulator over `pl` and restores `ck` into it — the
     /// one-call resume path. For restoring many checkpoints against the
-    /// same netlist, build one simulator with [`PlSimulator::new`] and
-    /// call [`PlSimulator::restore`] per checkpoint instead: that reuses
+    /// same netlist, build one simulator with [`Self::new`] and
+    /// call [`Self::restore`] per checkpoint instead: that reuses
     /// the frozen adjacency.
     ///
     /// # Errors

@@ -88,7 +88,7 @@ use pl_core::PlNetlist;
 use crate::checkpoint::{netlist_fingerprint, Fnv64, SimCheckpoint};
 use crate::delay::DelayModel;
 use crate::engine::{Event, EventKind};
-use crate::error::SimError;
+use crate::error::{DecodeError, SimError};
 use crate::lane::LaneWord;
 
 /// First eight bytes of every serialized checkpoint.
@@ -160,25 +160,35 @@ pub(crate) fn delay_digest(delays: &DelayModel) -> u64 {
     h.finish()
 }
 
-/// A bounds-checked cursor over untrusted bytes: every read states what
-/// it was reading so truncation errors are self-describing.
-pub(crate) struct Reader<'a> {
+/// The one bounded decoder of untrusted little-endian bytes: checkpoint
+/// sections, the resume meta and journal, and `pld` protocol payloads all
+/// read through it. Every read is checked against the bytes left and
+/// names what it was reading; running short is
+/// [`DecodeError::Truncated`]. A length or count is bounded by the bytes
+/// left before it can drive an allocation.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// Starts reading `buf` at its first byte.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    /// Bytes not yet read.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SimError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
         if n > self.remaining() {
-            return Err(SimError::CheckpointTruncated {
+            return Err(DecodeError::Truncated {
                 context,
                 needed: n,
                 available: self.remaining(),
@@ -189,66 +199,82 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, SimError> {
+    fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N, context)?.try_into().expect("N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, context: &'static str) -> Result<u8, DecodeError> {
         Ok(self.take(1, context)?[0])
     }
 
-    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, SimError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().expect("4 bytes"),
-        ))
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, context: &'static str) -> Result<u16, DecodeError> {
+        self.array(context).map(u16::from_le_bytes)
     }
 
-    pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, SimError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().expect("8 bytes"),
-        ))
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, context: &'static str) -> Result<u32, DecodeError> {
+        self.array(context).map(u32::from_le_bytes)
     }
 
-    pub(crate) fn u128(&mut self, context: &'static str) -> Result<u128, SimError> {
-        Ok(u128::from_le_bytes(
-            self.take(16, context)?.try_into().expect("16 bytes"),
-        ))
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, context: &'static str) -> Result<u64, DecodeError> {
+        self.array(context).map(u64::from_le_bytes)
     }
 
-    /// A length/count field about to drive reads or allocation: bounds it
-    /// by the bytes actually remaining (assuming `min_item_bytes` per
-    /// item) so a corrupted count can neither over-allocate nor walk past
-    /// the buffer.
-    pub(crate) fn count(
+    /// A little-endian `u128`.
+    pub fn u128(&mut self, context: &'static str) -> Result<u128, DecodeError> {
+        self.array(context).map(u128::from_le_bytes)
+    }
+
+    /// A boolean byte; any value but 0 and 1 is
+    /// [`DecodeError::OutOfRange`].
+    pub fn bool(&mut self, field: &'static str) -> Result<bool, DecodeError> {
+        match self.u8(field)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(DecodeError::OutOfRange {
+                field,
+                value: u64::from(other),
+                limit: 1,
+            }),
+        }
+    }
+
+    /// A `u64` length or count about to drive reads or allocation: above
+    /// the bytes left (at `min_item_bytes` per item) it is
+    /// [`DecodeError::OutOfRange`], so a corrupted count can neither
+    /// over-allocate nor walk past the buffer.
+    pub fn count(
         &mut self,
         min_item_bytes: usize,
         field: &'static str,
-    ) -> Result<usize, SimError> {
+    ) -> Result<usize, DecodeError> {
         let raw = self.u64(field)?;
         let limit = (self.remaining() / min_item_bytes.max(1)) as u64;
+        let err = DecodeError::OutOfRange {
+            field,
+            value: raw,
+            limit,
+        };
         if raw > limit {
-            return Err(SimError::CheckpointOutOfRange {
-                field,
-                value: raw,
-                limit,
-            });
+            return Err(err);
         }
         // `raw <= limit <= remaining()` so this cannot fail on any
         // target, but keep the conversion checked rather than a bare
         // `as` cast: on a 32-bit usize a future bound change must fail
         // typed, never truncate.
-        usize::try_from(raw).map_err(|_| SimError::CheckpointOutOfRange {
-            field,
-            value: raw,
-            limit,
-        })
+        usize::try_from(raw).map_err(|_| err)
     }
 
-    pub(crate) fn expect_end(&self, field: &'static str) -> Result<(), SimError> {
-        if self.remaining() != 0 {
-            return Err(SimError::CheckpointOutOfRange {
-                field,
-                value: self.remaining() as u64,
-                limit: 0,
-            });
+    /// Checks that every byte was read; bytes left are
+    /// [`DecodeError::Trailing`].
+    pub fn expect_end(&self, field: &'static str) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            remaining => Err(DecodeError::Trailing { field, remaining }),
         }
-        Ok(())
     }
 }
 
@@ -267,11 +293,7 @@ pub(crate) fn read_section<'a>(
 ) -> Result<&'a [u8], SimError> {
     let found = r.u8(name)?;
     if found != tag {
-        return Err(SimError::CheckpointOutOfRange {
-            field: "section tag",
-            value: u64::from(found),
-            limit: u64::from(tag),
-        });
+        return Err(out_of_range("section tag", found.into(), tag.into()));
     }
     // The length is bounded by the remaining bytes minus the 4-byte CRC
     // *in u64 space*: narrowing to usize first would truncate lengths
@@ -304,15 +326,12 @@ fn push_bool(out: &mut Vec<u8>, b: bool) {
     out.push(u8::from(b));
 }
 
-fn read_bool(r: &mut Reader<'_>, field: &'static str) -> Result<bool, SimError> {
-    match r.u8(field)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(SimError::CheckpointOutOfRange {
-            field,
-            value: u64::from(other),
-            limit: 1,
-        }),
+/// A decoded value outside its domain.
+pub(crate) fn out_of_range(field: &'static str, value: u64, limit: u64) -> SimError {
+    SimError::CheckpointOutOfRange {
+        field,
+        value,
+        limit,
     }
 }
 
@@ -320,11 +339,7 @@ fn check_gate(gate: u32, gates: usize, field: &'static str) -> Result<(), SimErr
     if (gate as usize) < gates {
         Ok(())
     } else {
-        Err(SimError::CheckpointOutOfRange {
-            field,
-            value: u64::from(gate),
-            limit: gates as u64,
-        })
+        Err(out_of_range(field, u64::from(gate), gates as u64))
     }
 }
 
@@ -334,11 +349,7 @@ fn check_gate(gate: u32, gates: usize, field: &'static str) -> Result<(), SimErr
 /// domain.
 fn read_word<L: LaneWord>(r: &mut Reader<'_>, field: &'static str) -> Result<L, SimError> {
     let bytes = r.take(L::WIRE_BYTES, field)?;
-    L::from_wire(bytes).ok_or(SimError::CheckpointOutOfRange {
-        field,
-        value: u64::from(bytes[0]),
-        limit: 1,
-    })
+    L::from_wire(bytes).ok_or_else(|| out_of_range(field, u64::from(bytes[0]), 1))
 }
 
 impl<L: LaneWord> SimCheckpoint<L> {
@@ -604,20 +615,16 @@ impl<L: LaneWord> SimCheckpoint<L> {
         for _ in 0..n_events {
             let key = q.u128("queue event key")?;
             if prev_key.is_some_and(|p| p >= key) {
-                return Err(SimError::CheckpointOutOfRange {
-                    field: "queue key order",
-                    value: queue.len() as u64,
-                    limit: n_events as u64,
-                });
+                return Err(out_of_range(
+                    "queue key order",
+                    queue.len() as u64,
+                    n_events as u64,
+                ));
             }
             prev_key = Some(key);
             let event_seq = key as u64;
             if event_seq >= seq {
-                return Err(SimError::CheckpointOutOfRange {
-                    field: "queue event seq",
-                    value: event_seq,
-                    limit: seq,
-                });
+                return Err(out_of_range("queue event seq", event_seq, seq));
             }
             let kind = match q.u8("queue event tag")? {
                 0 => {
@@ -626,8 +633,8 @@ impl<L: LaneWord> SimCheckpoint<L> {
                     EventKind::Tokens {
                         gate,
                         value: read_word::<L>(&mut q, "queue event value")?,
-                        data: read_bool(&mut q, "queue event data")?,
-                        acks: read_bool(&mut q, "queue event acks")?,
+                        data: q.bool("queue event data")?,
+                        acks: q.bool("queue event acks")?,
                     }
                 }
                 1 => {
@@ -645,13 +652,7 @@ impl<L: LaneWord> SimCheckpoint<L> {
                         EventKind::Cleanup { gate, gen }
                     }
                 }
-                other => {
-                    return Err(SimError::CheckpointOutOfRange {
-                        field: "queue event tag",
-                        value: u64::from(other),
-                        limit: 3,
-                    })
-                }
+                other => return Err(out_of_range("queue event tag", u64::from(other), 3)),
             };
             queue.push(Event { key, kind });
         }
@@ -660,7 +661,7 @@ impl<L: LaneWord> SimCheckpoint<L> {
         let mut a = Reader::new(read_section(&mut r, SEC_ARCS)?);
         let mut tokens = Vec::with_capacity(arcs);
         for _ in 0..arcs {
-            tokens.push(u8::from(read_bool(&mut a, "arc token")?));
+            tokens.push(u8::from(a.bool("arc token")?));
         }
         let mut values = Vec::with_capacity(arcs);
         for _ in 0..arcs {
@@ -674,11 +675,8 @@ impl<L: LaneWord> SimCheckpoint<L> {
         for _ in 0..gates {
             let bytes = g.take(L::PV_WIRE_BYTES, "gate pin values")?;
             pin_vals.push(
-                L::pv_from_wire(bytes).ok_or(SimError::CheckpointOutOfRange {
-                    field: "gate pin values",
-                    value: u64::from(bytes[0]),
-                    limit: 1,
-                })?,
+                L::pv_from_wire(bytes)
+                    .ok_or_else(|| out_of_range("gate pin values", u64::from(bytes[0]), 1))?,
             );
         }
         let mut ack_missing = Vec::with_capacity(gates);
@@ -694,25 +692,13 @@ impl<L: LaneWord> SimCheckpoint<L> {
                     0 => None,
                     1 => Some(L::splat(false)),
                     2 => Some(L::splat(true)),
-                    other => {
-                        return Err(SimError::CheckpointOutOfRange {
-                            field: "gate pending input",
-                            value: u64::from(other),
-                            limit: 2,
-                        })
-                    }
+                    other => return Err(out_of_range("gate pending input", u64::from(other), 2)),
                 }
             } else {
                 match tag {
                     0 => None,
                     1 => Some(read_word::<L>(&mut g, "gate pending input")?),
-                    other => {
-                        return Err(SimError::CheckpointOutOfRange {
-                            field: "gate pending input",
-                            value: u64::from(other),
-                            limit: 1,
-                        })
-                    }
+                    other => return Err(out_of_range("gate pending input", u64::from(other), 1)),
                 }
             });
         }
@@ -720,11 +706,7 @@ impl<L: LaneWord> SimCheckpoint<L> {
         for _ in 0..gates {
             let f = g.u8("gate flags")?;
             if f > 0x0F {
-                return Err(SimError::CheckpointOutOfRange {
-                    field: "gate flags",
-                    value: u64::from(f),
-                    limit: 0x0F,
-                });
+                return Err(out_of_range("gate flags", u64::from(f), 0x0F));
             }
             flags.push(f);
         }
@@ -737,11 +719,11 @@ impl<L: LaneWord> SimCheckpoint<L> {
         let mut rec = Reader::new(read_section(&mut r, SEC_RECORDS)?);
         let n_queues = rec.count(8, "record queue count")?;
         if n_queues != outputs {
-            return Err(SimError::CheckpointOutOfRange {
-                field: "record queue count",
-                value: n_queues as u64,
-                limit: outputs as u64,
-            });
+            return Err(out_of_range(
+                "record queue count",
+                n_queues as u64,
+                outputs as u64,
+            ));
         }
         let mut records = Vec::with_capacity(outputs);
         for _ in 0..outputs {

@@ -173,7 +173,7 @@ const F_EARLY_SCHED: u8 = 1 << 3;
 
 /// Event-driven simulator over a [`PlNetlist`], generic over the
 /// [`LaneWord`] its token payloads carry (see the
-/// [module docs](self#the-lane-model)).
+/// [lane model](crate::lane)).
 ///
 /// Use the [`PlSimulator`] alias for ordinary scalar simulation and
 /// [`BatchSimulator`] for the 64-lane batch engine; the generic name only
@@ -221,7 +221,7 @@ pub type PlSimulator<'a> = LaneSimulator<'a, bool>;
 /// The 64-lane batch simulator: token payloads are `u64` words carrying
 /// 64 independent vectors through one event flow. See
 /// [`BatchSimulator::run_lanes`] for the packing front end and the
-/// [module docs](self#the-lane-model) for the determinism contract.
+/// [lane model](crate::lane) for the determinism contract.
 pub type BatchSimulator<'a> = LaneSimulator<'a, u64>;
 
 impl<'a, L: LaneWord> LaneSimulator<'a, L> {
@@ -924,7 +924,7 @@ impl<'a> BatchSimulator<'a> {
     /// timing fields describe the *shared* block schedule (one makespan
     /// for the whole block; per-stream throughput is the stream's own
     /// length over that makespan), which can differ from a scalar run's
-    /// timing — see the [module docs](self#the-lane-model).
+    /// timing — see the [lane model](crate::lane).
     ///
     /// # Panics
     ///

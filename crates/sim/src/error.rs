@@ -285,6 +285,96 @@ impl From<PlError> for SimError {
     }
 }
 
+/// Why a bounded decode of untrusted bytes
+/// ([`crate::checkpoint::wire::Reader`]) failed. The checkpoint and
+/// resume decoders report it as the matching [`SimError`]; the `pld`
+/// protocol as a malformed request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The input ended before the bytes the decoder needed.
+    Truncated {
+        /// What the decoder was reading.
+        context: &'static str,
+        /// Bytes it needed.
+        needed: usize,
+        /// Bytes left.
+        available: usize,
+    },
+    /// A value or count outside its domain.
+    OutOfRange {
+        /// The field read.
+        field: &'static str,
+        /// The value found.
+        value: u64,
+        /// The bound it broke.
+        limit: u64,
+    },
+    /// Bytes left after the last field.
+    Trailing {
+        /// What should have ended.
+        field: &'static str,
+        /// Bytes left.
+        remaining: usize,
+    },
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Truncated {
+                context,
+                needed,
+                available,
+            } => write!(
+                f,
+                "truncated while reading {context}: needed {needed} bytes, only {available} available"
+            ),
+            DecodeError::OutOfRange {
+                field,
+                value,
+                limit,
+            } => write!(f, "{field} out of range: value {value}, limit {limit}"),
+            DecodeError::Trailing { field, remaining } => {
+                write!(f, "{field}: {remaining} trailing byte(s)")
+            }
+        }
+    }
+}
+
+impl Error for DecodeError {}
+
+/// [`SimError`] has no trailing-bytes variant: trailing bytes are an
+/// out-of-range value (the count left) against a limit of 0.
+impl From<DecodeError> for SimError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated {
+                context,
+                needed,
+                available,
+            } => SimError::CheckpointTruncated {
+                context,
+                needed,
+                available,
+            },
+            DecodeError::OutOfRange {
+                field,
+                value,
+                limit,
+            } => SimError::CheckpointOutOfRange {
+                field,
+                value,
+                limit,
+            },
+            DecodeError::Trailing { field, remaining } => SimError::CheckpointOutOfRange {
+                field,
+                value: remaining as u64,
+                limit: 0,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,16 +27,17 @@
 //!   tracked incrementally in per-gate pin bitsets plus an ack counter, so
 //!   no arc list is ever re-scanned. One firing's simultaneous token
 //!   deliveries dispatch as a single batched queue event. See
-//!   [`reference`] for the retained pre-refactor engine that pins these
-//!   semantics differentially (`tests/engine_equivalence.rs`) and anchors
-//!   the speedup numbers in `BENCH_sim.json`.
-//! * [`parallel`] scatter/gathers multi-vector sweeps across worker
-//!   threads — independent streams ([`sweep_streams`]) and reset-per-shard
-//!   single streams ([`sweep_sharded`]), both configured by one
-//!   [`SweepConfig`] (lane width, workers, queue backend). Outcomes merge
-//!   deterministically in stream/vector order (bit-identical to the
-//!   sequential run for any worker count). [`sweep_resumable`] runs one
-//!   long stream as a single continuous pass made crash-resumable:
+//!   [`reference`](mod@reference) for the retained pre-refactor engine
+//!   that pins these semantics differentially
+//!   (`tests/engine_equivalence.rs`) and anchors the speedup numbers in
+//!   `BENCH_sim.json`.
+//! * [`parallel`] holds the three sweep entry points. [`sweep_streams`]
+//!   scatter/gathers independent vector streams across worker threads,
+//!   configured by one [`SweepConfig`] (lane width, workers, queue
+//!   backend); outcomes come back in stream order, bit-identical to the
+//!   sequential run for any worker count. [`sweep_resumable`] (and its
+//!   fault-injecting twin [`sweep_resumable_with_faults`]) runs one long
+//!   stream as a single continuous pass made crash-resumable:
 //!   window-boundary checkpoints ([`checkpoint::wire`]) plus a
 //!   completed-window journal on disk, and kill/resume recovery — still
 //!   bit-identical to [`PlSimulator::run_stream`].
@@ -106,11 +107,11 @@ pub mod trace;
 pub use checkpoint::{Fnv64, SimCheckpoint};
 pub use delay::{ns_to_ticks, ticks_to_ns, DelayModel, TickDelays, TICKS_PER_NS};
 pub use engine::{BatchSimulator, LaneSimulator, PlSimulator, StreamOutcome, VectorOutcome};
-pub use error::SimError;
+pub use error::{DecodeError, SimError};
 pub use lane::{pack_lanes, LaneWord};
 pub use parallel::{
-    scatter_gather, sweep_resumable, sweep_resumable_with_faults, sweep_sharded, sweep_streams,
-    FaultPlan, ResumableOptions, ResumableOutcome, SweepConfig, SweepRecovery,
+    scatter_gather, sweep_resumable, sweep_resumable_with_faults, sweep_streams, FaultPlan,
+    ResumableOptions, ResumableOutcome, SweepConfig, SweepRecovery,
 };
 pub use queue::{EventQueue, QueueKind};
 pub use reference::ReferenceSimulator;

@@ -5,26 +5,17 @@
 //! each benchmark; independent sweeps are the classic embarrassingly
 //! parallel discrete-event speedup. This module vendors a small
 //! work-queue pool built from `std::thread::scope` plus an `mpsc` gather
-//! channel — no external dependencies — and exposes two sweep shapes on
-//! top of it, both configured by one [`SweepConfig`] (engine lane width,
-//! worker threads, event-queue backend):
+//! channel — no external dependencies — and exposes three sweep entry
+//! points on top of it:
 //!
 //! * [`sweep_streams`] — N independent vector streams, each simulated from
-//!   the initial marking over a shared `&`[`PlNetlist`]. At `lanes: 1`
-//!   every stream runs on a **private** [`PlSimulator`]; at `lanes: 64`
-//!   the streams are packed 64 to a block and each block is marched
-//!   through one [`BatchSimulator`] event flow with `u64` lane words, so
-//!   the unit of parallel work becomes 64 streams instead of one. Results
-//!   come back in stream order.
-//! * [`sweep_sharded`] — ONE long vector stream split into fixed-size
-//!   shards and swept with [`sweep_streams`]. Shard boundaries depend only
-//!   on the stream length and `shard_len` — never on the worker count — so
-//!   the merged [`StreamOutcome`] is **bit-identical for every `jobs`
-//!   value**, including the `jobs = 1` sequential run. With `shard_len >=
-//!   vectors.len()` there is exactly one shard and the scalar result
-//!   equals a plain [`PlSimulator::run_stream`] call. Each shard restarts
-//!   from the initial marking, so for stateful designs a shard boundary
-//!   is a reset (independent experiments, not one long run).
+//!   the initial marking over a shared `&`[`PlNetlist`], configured by one
+//!   [`SweepConfig`] (engine lane width, worker threads, event-queue
+//!   backend). At `lanes: 1` every stream runs on a **private**
+//!   [`PlSimulator`]; at `lanes: 64` the streams are packed 64 to a block
+//!   and each block is marched through one [`BatchSimulator`] event flow
+//!   with `u64` lane words, so the unit of parallel work becomes 64
+//!   streams instead of one. Results come back in stream order.
 //! * [`sweep_resumable`] ([`resume`]) — ONE long vector stream as one
 //!   continuous run made crash-resumable, bit-identical to
 //!   [`PlSimulator::run_stream`]. It is one sequential pass on the calling
@@ -32,6 +23,9 @@
 //!   continuous stream has no parallelism of its own: every window depends
 //!   on the state the previous one left, and merely advancing that state
 //!   costs as much as simulating it.
+//! * [`sweep_resumable_with_faults`] — the same sweep under a
+//!   [`FaultPlan`] that halts it at a chosen window boundary, for the
+//!   kill/resume tests.
 //!
 //! The lane width and the event-queue backend
 //! ([`crate::queue::QueueKind`]) never change output words, only the cost
@@ -42,10 +36,10 @@
 //! (item indices from an atomic counter); every result is sent back
 //! tagged with its index and the gather side reorders into index order.
 //! The engine itself is single-threaded and deterministic, so identical
-//! (netlist, delays, vectors, shard_len, config) inputs give identical
-//! outputs regardless of scheduling. `tests/engine_equivalence.rs` pins
-//! every shape at 1/2/4/8 workers across the ITC'99 suite and randomized
-//! netlists.
+//! (netlist, delays, streams, config) inputs give identical outputs
+//! regardless of scheduling. `tests/engine_equivalence.rs` pins
+//! [`sweep_streams`] at 1/2/4/8 workers across the ITC'99 suite and
+//! randomized netlists.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -216,53 +210,6 @@ where
     }
 }
 
-/// Splits one vector stream into `shard_len`-sized shards (the last may
-/// be short), sweeps them with [`sweep_streams`] under `config`, and
-/// merges the shard outcomes vector-index-ordered into one
-/// [`StreamOutcome`].
-///
-/// Each shard starts from the netlist's initial marking, so for stateful
-/// designs a shard boundary is a reset — this is the *sweep* semantics
-/// (independent experiments), not one long continuous run. The merged
-/// outcome is a pure function of the per-shard outcomes: `outputs` are
-/// concatenated in vector order, `makespan` is the slowest shard (the
-/// critical path of a fully parallel schedule), and `throughput` counts
-/// all vectors against that makespan. `jobs` therefore never changes the
-/// result, only the wall-clock time, and the output words are the same
-/// at either lane width.
-///
-/// # Errors
-///
-/// Propagates the first failing shard's error, as [`sweep_streams`] does.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero or `config.lanes` is neither 1 nor 64.
-pub fn sweep_sharded(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    config: SweepConfig,
-) -> Result<StreamOutcome, SimError> {
-    assert!(shard_len > 0, "shard_len must be at least 1");
-    let shards: Vec<&[Vec<bool>]> = vectors.chunks(shard_len).collect();
-    let outcomes = sweep_streams(pl, delays, &shards, config)?;
-    let mut merged = StreamOutcome {
-        outputs: Vec::with_capacity(vectors.len()),
-        makespan: 0.0,
-        throughput: f64::INFINITY,
-    };
-    for o in outcomes {
-        merged.outputs.extend(o.outputs);
-        merged.makespan = merged.makespan.max(o.makespan);
-    }
-    if merged.makespan > 0.0 {
-        merged.throughput = merged.outputs.len() as f64 / merged.makespan;
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,24 +360,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_sweep_is_jobs_invariant_and_single_shard_equals_run_stream() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let vecs = vectors(23, 0xBEEF);
-        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, scalar_config(1)).unwrap();
-        for jobs in [2, 4, 8] {
-            let par = sweep_sharded(&pl, &delays, &vecs, 5, scalar_config(jobs)).unwrap();
-            assert_eq!(par, baseline, "jobs={jobs} diverged");
-        }
-        let single = sweep_sharded(&pl, &delays, &vecs, vecs.len(), scalar_config(4)).unwrap();
-        let direct = PlSimulator::new(&pl, delays.clone())
-            .unwrap()
-            .run_stream(&vecs)
-            .unwrap();
-        assert_eq!(single, direct);
-    }
-
     /// The batch sweep must reproduce the scalar sweep bit for bit — for
     /// any worker count, and across a 64-stream block boundary (65
     /// streams → two blocks, the second holding a single lane) with
@@ -464,18 +393,6 @@ mod tests {
         let batch = sweep_streams(&pl, &delays, &one, batch_config(4)).unwrap();
         let scalar = sweep_streams(&pl, &delays, &one, scalar_config(1)).unwrap();
         assert_eq!(batch[0].outputs, scalar[0].outputs);
-    }
-
-    #[test]
-    fn sharded_batch_matches_sharded_outputs_for_all_worker_counts() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let vecs = vectors(143, 0xC0DE);
-        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, scalar_config(1)).unwrap();
-        for jobs in [1, 2, 4] {
-            let batch = sweep_sharded(&pl, &delays, &vecs, 5, batch_config(jobs)).unwrap();
-            assert_eq!(batch.outputs, baseline.outputs, "jobs={jobs} diverged");
-        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 
 use pl_core::PlNetlist;
 
-use crate::checkpoint::wire::{crc32, delay_digest, Reader};
+use crate::checkpoint::wire::{crc32, delay_digest, out_of_range, Reader};
 use crate::checkpoint::{netlist_fingerprint, Fnv64, SimCheckpoint};
 use crate::delay::{ticks_to_ns, DelayModel};
 use crate::engine::{PlSimulator, StreamOutcome};
@@ -297,11 +297,8 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaFields, SimError> {
         n_vectors: r.u64("sweep.meta vector count")?,
     };
     if r.remaining() != 4 {
-        return Err(SimError::CheckpointOutOfRange {
-            field: "sweep.meta trailing bytes",
-            value: r.remaining() as u64,
-            limit: 4,
-        });
+        let trailing = r.remaining() as u64;
+        return Err(out_of_range("sweep.meta trailing bytes", trailing, 4));
     }
     Ok(fields)
 }

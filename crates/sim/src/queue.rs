@@ -63,8 +63,9 @@ pub enum QueueKind {
 }
 
 impl QueueKind {
-    /// The spelling accepted by [`QueueKind::from_str`] and printed by
-    /// [`QueueKind::fmt`] (`"heap"` / `"ladder"`).
+    /// The spelling its [`FromStr`](std::str::FromStr) impl accepts and
+    /// its [`Display`](std::fmt::Display) impl prints (`"heap"` /
+    /// `"ladder"`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {

@@ -2,7 +2,7 @@
 //! differential baseline.
 //!
 //! This is the original `f64`-time, allocation-per-firing engine that the
-//! integer-tick engine in [`crate::engine`] replaced. It is kept for two
+//! integer-tick engine ([`crate::LaneSimulator`]) replaced. It is kept for two
 //! purposes:
 //!
 //! 1. **Equivalence testing** — `tests/engine_equivalence.rs` and the
@@ -13,8 +13,8 @@
 //!    `bench_report` binary measure events/sec against this baseline and
 //!    record the ratio in `BENCH_sim.json`.
 //!
-//! Do not extend this module; new simulator features belong in
-//! [`crate::engine`].
+//! Do not extend this module; new simulator features belong in the
+//! integer-tick engine.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};

@@ -22,6 +22,7 @@
 //! plc eco b04 --ee --edit table:n30:0x6  # incremental recompile
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use pl_flow::cli::{CliSpec, OptSpec, ParsedArgs, PositionalSpec};
@@ -83,7 +84,7 @@ const OPTIMIZE: OptSpec = OptSpec {
 const LUT_SIZE: OptSpec = OptSpec {
     long: "--lut-size",
     value: Some("K"),
-    help: "target LUT arity for technology mapping (2..=6, default 4)",
+    help: "target LUT arity for technology mapping (2..=4, default 4; the PL gate is a LUT4)",
 };
 const LINT_LEVEL: OptSpec = OptSpec {
     long: "--lint-level",
@@ -340,6 +341,16 @@ impl Stage {
 /// `plc: <error>` with exit 1. Usage errors exit 2 on the spot.
 type Outcome = Result<ExitCode, Box<dyn std::error::Error>>;
 
+/// `println!` that returns a failed write as an `io::Error` instead of
+/// panicking, so a closed stdout (`plc ... | head`) reaches `main` as
+/// `BrokenPipe` and ends the run quietly; whole texts go out through
+/// `write_all` for the same reason.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)
+    };
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let rest = argv.get(1..).unwrap_or_default();
@@ -350,9 +361,12 @@ fn main() -> ExitCode {
         Some("client") => client_main(&CLIENT_SPEC.parse_or_exit(rest)),
         _ => compile_main(&SPEC.parse_or_exit(&argv)),
     };
-    outcome.unwrap_or_else(|e| {
-        eprintln!("plc: {e}");
-        ExitCode::FAILURE
+    outcome.unwrap_or_else(|e| match e.downcast_ref::<io::Error>() {
+        Some(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        _ => {
+            eprintln!("plc: {e}");
+            ExitCode::FAILURE
+        }
     })
 }
 
@@ -474,9 +488,9 @@ fn lint_main(args: &ParsedArgs) -> Outcome {
     let pipeline = Pipeline::new(checked_flow_options(args));
     let session = pipeline.lint_session(&CircuitSource::from_spec(&args.positionals[0]))?;
     if args.flag("--json") {
-        print!("{}", session.render_json_lines());
+        io::stdout().write_all(session.render_json_lines().as_bytes())?;
     } else {
-        print!("{}", session.render_text());
+        io::stdout().write_all(session.render_text().as_bytes())?;
     }
     Ok(if session.has_deny() {
         ExitCode::FAILURE
@@ -502,19 +516,15 @@ fn eco_main(args: &ParsedArgs) -> Outcome {
     let mut session = pipeline.eco_session(&CircuitSource::from_spec(&args.positionals[0]))?;
     {
         let art = session.artifacts();
-        println!(
+        outln!(
             "[compile]   {}: {} LUTs, {} PL gates, {} EE pairs  ({:.3}s)",
             session.name(),
             art.report.techmap.luts_after,
             art.report.phased.logic_gates,
             art.pairs.len(),
             art.report.total_secs(),
-        );
-        print_eco_digest(
-            art.mapped.fingerprint(),
-            art.plain.fingerprint(),
-            &art.outputs,
-        );
+        )?;
+        print_digest(&pl_serve::DigestTriple::of(art, &art.outputs))?;
     }
     for (i, (text, edit)) in edits.iter().enumerate() {
         let out = session.apply_eco(std::slice::from_ref(edit))?;
@@ -526,7 +536,7 @@ fn eco_main(args: &ParsedArgs) -> Outcome {
         } else {
             "downstream recomputed".to_string()
         };
-        println!(
+        outln!(
             "[eco {}]     {}: {} dirty node(s) ({} output(s), {} boundary DFF(s)), cuts reused {}/{}, {}  ({:.3}s)",
             i + 1,
             text,
@@ -537,23 +547,20 @@ fn eco_main(args: &ParsedArgs) -> Outcome {
             e.two_nodes,
             downstream,
             e.secs,
-        );
+        )?;
         if let Some(lint) = &out.flow.lint {
             let (warns, _) = lint.report.counts();
             if warns > 0 {
-                print_lint_stage("[lint]     ", lint);
+                print_lint_stage("[lint]     ", lint)?;
             }
         }
-        print_eco_digest(
-            e.mapped_fingerprint,
-            e.phased_fingerprint,
-            &session.artifacts().outputs,
-        );
+        let art = session.artifacts();
+        print_digest(&pl_serve::DigestTriple::of(art, &art.outputs))?;
     }
     if let Some(path) = args.get(EMIT_BLIF.long) {
         let blif = pl_netlist::blif::to_blif(session.netlist())?;
         std::fs::write(path, &blif)?;
-        println!("[eco]       wrote {path} ({} bytes)", blif.len());
+        outln!("[eco]       wrote {path} ({} bytes)", blif.len())?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -562,15 +569,13 @@ fn eco_main(args: &ParsedArgs) -> Outcome {
 /// line is the cross-compile comparison point: an incremental recompile
 /// and a from-scratch compile of the same edited netlist print identical
 /// lines (the mapped/phased fingerprints additionally pin the netlist
-/// bits, but survive BLIF round-trips only if node ids do). The format
-/// lives in `pl_serve::render_digest_block`, shared with the `pld`
-/// daemon's client so server responses diff cleanly against in-process
-/// runs.
-fn print_eco_digest(mapped_fp: u64, phased_fp: u64, outputs: &[Vec<bool>]) {
-    print!(
-        "{}",
-        pl_serve::render_digest_block(mapped_fp, phased_fp, pl_serve::outputs_digest(outputs))
-    );
+/// bits, but survive BLIF round-trips only if node ids do). `plc eco`
+/// and `plc client` both print through it, in the format of
+/// `pl_serve::render_digest_block`, so server responses diff cleanly
+/// against in-process runs.
+fn print_digest(d: &pl_serve::DigestTriple) -> io::Result<()> {
+    let block = pl_serve::render_digest_block(d.mapped_fp, d.phased_fp, d.outputs_digest);
+    io::stdout().write_all(block.as_bytes())
 }
 
 /// The `plc serve` subcommand: bind, announce, and serve until a client
@@ -585,11 +590,10 @@ fn serve_main(args: &ParsedArgs) -> Outcome {
     let server = pl_serve::PldServer::bind(&format!("{host}:{port}"), &config)?;
     // The parseable handshake line: smoke tests and wrapper scripts read
     // the bound (possibly ephemeral) address from it.
-    println!("pld: listening on {}", server.local_addr()?);
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    outln!("pld: listening on {}", server.local_addr()?)?;
+    io::stdout().flush()?;
     server.serve()?;
-    println!("pld: shut down");
+    outln!("pld: shut down")?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -648,7 +652,7 @@ fn build_client_request(args: &ParsedArgs) -> Result<pl_serve::Request, String> 
 
 /// Sends one request and renders the response.
 fn run_client(addr: &str, request: &pl_serve::Request) -> Result<(), Box<dyn std::error::Error>> {
-    use pl_serve::{render_digest_block, Response};
+    use pl_serve::Response;
     let mut client = pl_serve::Client::connect(addr)?;
     match client.expect_ok(request)? {
         Response::CompileOk {
@@ -659,14 +663,11 @@ fn run_client(addr: &str, request: &pl_serve::Request) -> Result<(), Box<dyn std
             pairs,
             digest,
         } => {
-            println!(
+            outln!(
                 "[compile]   {name}: {luts} LUTs, {gates} PL gates, {pairs} EE pairs  (cache {})",
                 if cache_hit { "hit" } else { "miss" },
-            );
-            print!(
-                "{}",
-                render_digest_block(digest.mapped_fp, digest.phased_fp, digest.outputs_digest)
-            );
+            )?;
+            print_digest(&digest)?;
         }
         Response::EcoOk {
             name,
@@ -674,38 +675,28 @@ fn run_client(addr: &str, request: &pl_serve::Request) -> Result<(), Box<dyn std
             initial,
             edits,
         } => {
-            println!(
+            outln!(
                 "[compile]   {name}  (cache {})",
                 if cache_hit { "hit" } else { "miss" },
-            );
-            print!(
-                "{}",
-                render_digest_block(initial.mapped_fp, initial.phased_fp, initial.outputs_digest)
-            );
+            )?;
+            print_digest(&initial)?;
             for (i, e) in edits.iter().enumerate() {
-                println!(
+                outln!(
                     "[eco {}]     {}: {} dirty node(s)",
                     i + 1,
                     e.spec,
                     e.dirty_nodes
-                );
-                print!(
-                    "{}",
-                    render_digest_block(
-                        e.digest.mapped_fp,
-                        e.digest.phased_fp,
-                        e.digest.outputs_digest
-                    )
-                );
+                )?;
+                print_digest(&e.digest)?;
             }
         }
         Response::StatsOk(s) => {
-            println!(
+            outln!(
                 "pld stats: entries {}/{} | hits {} | misses {} | evictions {} | eco edits {} | malformed {}",
                 s.entries, s.capacity, s.hits, s.misses, s.evictions, s.eco_edits, s.malformed,
-            );
+            )?;
         }
-        Response::ShutdownOk => println!("pld: shutdown acknowledged"),
+        Response::ShutdownOk => outln!("pld: shutdown acknowledged")?,
         Response::Error { .. } => unreachable!("expect_ok maps error frames"),
     }
     Ok(())
@@ -723,7 +714,7 @@ fn drive(
     let opts = pipeline.opts().clone();
 
     let ingested = pipeline.ingest(&source)?;
-    println!(
+    outln!(
         "[ingest]    {} ({}): {} inputs, {} outputs, {} LUTs, {} DFFs  ({:.3}s)",
         ingested.name,
         ingested.report.source,
@@ -732,11 +723,11 @@ fn drive(
         ingested.report.luts,
         ingested.report.dffs,
         ingested.report.secs,
-    );
+    )?;
     if let Some(path) = args.get(EMIT_BLIF.long) {
         let blif = pl_netlist::blif::to_blif(&ingested.netlist)?;
         std::fs::write(path, &blif)?;
-        println!("[ingest]    wrote {path} ({} bytes)", blif.len());
+        outln!("[ingest]    wrote {path} ({} bytes)", blif.len())?;
     }
     if stop_after == Stage::Ingest {
         return Ok(());
@@ -744,16 +735,16 @@ fn drive(
 
     if opts.lint.enabled {
         let lint = pipeline.lint(&ingested)?;
-        print_lint_stage("[lint]     ", &lint);
+        print_lint_stage("[lint]     ", &lint)?;
     } else {
-        println!("[lint]      skipped (--no-lint)");
+        outln!("[lint]      skipped (--no-lint)")?;
     }
     if stop_after == Stage::Lint {
         return Ok(());
     }
 
     let optimized = pipeline.optimize(ingested)?;
-    println!(
+    outln!(
         "[optimize]  {} ({} -> {} nodes)  ({:.3}s)",
         if optimized.report.ran {
             "cleanup"
@@ -763,35 +754,39 @@ fn drive(
         optimized.report.nodes_before,
         optimized.report.nodes_after,
         optimized.report.secs,
-    );
+    )?;
     if stop_after == Stage::Optimize {
         return Ok(());
     }
 
     let mapped = pipeline.techmap(optimized)?;
-    println!(
+    outln!(
         "[techmap]   LUT{}: {} -> {} LUTs, depth {}  ({:.3}s)",
         mapped.report.lut_size,
         mapped.report.luts_before,
         mapped.report.luts_after,
         mapped.report.depth,
         mapped.report.secs,
-    );
+    )?;
     if args.flag(VERILOG.long) {
-        print!("{}", pl_netlist::verilog::to_verilog(&mapped.netlist)?);
+        let verilog = pl_netlist::verilog::to_verilog(&mapped.netlist)?;
+        io::stdout().write_all(verilog.as_bytes())?;
     }
     if stop_after == Stage::Techmap {
         return Ok(());
     }
 
     let phased = pipeline.phased(&mapped)?;
-    println!(
+    outln!(
         "[phased]    {} gates, {} arcs ({} feedbacks) — live  ({:.3}s)",
-        phased.report.logic_gates, phased.report.arcs, phased.report.ack_arcs, phased.report.secs,
-    );
+        phased.report.logic_gates,
+        phased.report.arcs,
+        phased.report.ack_arcs,
+        phased.report.secs,
+    )?;
     if opts.lint.enabled {
         let lint = pipeline.lint_phased(&phased)?;
-        print_lint_stage("[pl-lint]  ", &lint);
+        print_lint_stage("[pl-lint]  ", &lint)?;
     }
     if let Some(path) = args.get(VCD.long) {
         write_vcd(&phased.netlist, &mapped.netlist, &opts, path)?;
@@ -802,7 +797,7 @@ fn drive(
 
     let early = pipeline.early_eval(phased);
     if early.report.enabled {
-        println!(
+        outln!(
             "[early-eval] {} pairs / {} compute gates (+{:.0}% area, cache {}h/{}m)  ({:.3}s)",
             early.report.pairs,
             early.report.examined,
@@ -810,10 +805,10 @@ fn drive(
             early.report.cache_hits,
             early.report.cache_misses,
             early.report.secs,
-        );
-        print_pairs(&early);
+        )?;
+        print_pairs(&early)?;
     } else {
-        println!("[early-eval] skipped (pass --ee to enable)");
+        outln!("[early-eval] skipped (pass --ee to enable)")?;
     }
     if stop_after == Stage::EarlyEval {
         return Ok(());
@@ -823,74 +818,78 @@ fn drive(
     if sim.report.vectors == 0 {
         // An empty run is reported explicitly rather than printing
         // vacuous aggregates (`min inf`) and a hollow `0 vectors match`.
-        println!(
+        outln!(
             "[simulate]  0 vectors — nothing simulated  ({:.3}s)",
             sim.report.secs
-        );
+        )?;
         if opts.verify {
-            println!("[verify]    0 vectors — nothing simulated, nothing verified");
+            outln!("[verify]    0 vectors — nothing simulated, nothing verified")?;
         }
         return Ok(());
     }
-    println!(
+    outln!(
         "[simulate]  {} vectors, {} job(s), {} queue  ({:.3}s)",
-        sim.report.vectors, sim.report.jobs, sim.report.queue, sim.report.secs,
-    );
+        sim.report.vectors,
+        sim.report.jobs,
+        sim.report.queue,
+        sim.report.secs,
+    )?;
     if let Some(lanes) = sim.report.lanes {
         // Lane protocol: the output words were reassembled from the 64
         // striped substreams in vector order. The digest line is width-
         // invariant by the lane-equivalence contract — the CI batch
         // determinism smoke diffs it between --lanes 1 and --lanes 64.
-        println!(
+        outln!(
             "  lane protocol: {lanes}-lane engine{}",
             if sim.stats_ee.is_some() {
                 "  (EE outputs bit-identical to plain)"
             } else {
                 ""
             }
-        );
-        print_lane_digest(&sim.outputs);
+        )?;
+        print_lane_digest(&sim.outputs)?;
     } else if let (Some(window), Some(stream_plain)) = (sim.report.window, &sim.stream_plain) {
         // Streamed protocol: one continuous run per variant — makespan and
         // throughput are the metrics, plus a digest of the output words
         // (the CI determinism smoke diffs these lines across --jobs).
-        print_streamed("without EE", window, stream_plain, &sim.outputs);
+        print_streamed("without EE", window, stream_plain, &sim.outputs)?;
         if let Some(stream_ee) = &sim.stream_ee {
-            print_streamed("with EE   ", window, stream_ee, &sim.outputs);
+            print_streamed("with EE   ", window, stream_ee, &sim.outputs)?;
             if stream_plain.makespan > 0.0 {
-                println!(
+                outln!(
                     "  makespan decrease: {:.1}%  (EE outputs bit-identical to plain)",
                     100.0 * (stream_plain.makespan - stream_ee.makespan) / stream_plain.makespan
-                );
+                )?;
             }
         }
         // Resumable-sweep audit trail. Kept off the `streamed ... digest`
         // lines above, which the CI determinism smoke diffs verbatim.
         if let Some(rec) = &sim.report.recovery_plain {
-            println!("  recovery without EE: {rec}");
+            outln!("  recovery without EE: {rec}")?;
         }
         if let Some(rec) = &sim.report.recovery_ee {
-            println!("  recovery with EE:    {rec}");
+            outln!("  recovery with EE:    {rec}")?;
         }
     } else {
-        println!("  latency without EE: {}", sim.stats_plain);
+        outln!("  latency without EE: {}", sim.stats_plain)?;
         if let Some(stats_ee) = &sim.stats_ee {
-            println!("  latency with EE:    {stats_ee}");
+            outln!("  latency with EE:    {stats_ee}")?;
             if sim.stats_plain.mean() > 0.0 {
-                println!(
+                outln!(
                     "  delay decrease: {:.1}%  (EE outputs bit-identical to plain)",
                     100.0 * (sim.stats_plain.mean() - stats_ee.mean()) / sim.stats_plain.mean()
-                );
+                )?;
             }
         }
     }
 
     if opts.verify {
         let report = pipeline.verify(&mapped.netlist, &sim)?;
-        println!(
+        outln!(
             "[verify]    {} vectors match the synchronous reference  ({:.3}s)",
-            report.vectors, report.secs,
-        );
+            report.vectors,
+            report.secs,
+        )?;
     }
     Ok(())
 }
@@ -898,16 +897,16 @@ fn drive(
 /// Prints a lint stage's outcome line plus one indented line per warning
 /// (a deny never reaches here: the stage methods abort with
 /// [`pl_flow::FlowError::Lint`] first).
-fn print_lint_stage(label: &str, stage: &pl_flow::LintStageReport) {
+fn print_lint_stage(label: &str, stage: &pl_flow::LintStageReport) -> io::Result<()> {
     let (warns, _) = stage.report.counts();
     if warns == 0 {
-        println!("{label} clean  ({:.3}s)", stage.secs);
-        return;
+        return outln!("{label} clean  ({:.3}s)", stage.secs);
     }
-    println!("{label} {warns} warning(s)  ({:.3}s)", stage.secs);
+    outln!("{label} {warns} warning(s)  ({:.3}s)", stage.secs)?;
     for line in stage.report.to_text().lines() {
-        println!("  {line}");
+        outln!("  {line}")?;
     }
+    Ok(())
 }
 
 /// Prints the lane protocol's deterministic FNV-1a digest over the
@@ -915,11 +914,11 @@ fn print_lint_stage(label: &str, stage: &pl_flow::LintStageReport) {
 /// width on purpose: `--lanes 1` (64 scalar substream engines) and
 /// `--lanes 64` (one batch engine per block) must print the identical
 /// digest — the CI batch determinism smoke diffs exactly this line.
-fn print_lane_digest(words: &[Vec<bool>]) {
-    println!(
+fn print_lane_digest(words: &[Vec<bool>]) -> io::Result<()> {
+    outln!(
         "  lane digest (64 substreams, vector order): {:#018x}",
         pl_serve::outputs_digest(words)
-    );
+    )
 }
 
 /// Prints one variant's streamed outcome with a deterministic FNV-1a
@@ -932,7 +931,12 @@ fn print_lane_digest(words: &[Vec<bool>]) {
 /// `Simulated::outputs` once). The makespan is printed (and CI-diffed) on
 /// its own, and the plain/EE lines sharing one digest is exactly the "EE
 /// outputs bit-identical to plain" claim made visible.
-fn print_streamed(label: &str, window: usize, stream: &pl_sim::StreamOutcome, words: &[Vec<bool>]) {
+fn print_streamed(
+    label: &str,
+    window: usize,
+    stream: &pl_sim::StreamOutcome,
+    words: &[Vec<bool>],
+) -> io::Result<()> {
     // An all-constant-output netlist completes in 0 ns; its throughput is
     // reported as instantaneous rather than printing `inf vectors/ns`.
     let throughput = if stream.throughput.is_finite() {
@@ -940,25 +944,31 @@ fn print_streamed(label: &str, window: usize, stream: &pl_sim::StreamOutcome, wo
     } else {
         "instantaneous".to_string()
     };
-    println!(
+    outln!(
         "  streamed {label} (window {window}): makespan {:.2} ns, {throughput}, digest {:#018x}",
         stream.makespan,
         pl_serve::outputs_digest(words),
-    );
+    )
 }
 
 /// Prints the implemented master/trigger pairs with their Equation-1
 /// ingredients.
-fn print_pairs(early: &pl_flow::EarlyEvaled) {
+fn print_pairs(early: &pl_flow::EarlyEvaled) -> io::Result<()> {
     if early.pairs.is_empty() {
-        return;
+        return Ok(());
     }
-    println!(
+    outln!(
         "  {:>8} {:>8} {:>8} {:>9} {:>5} {:>5} {:>7}",
-        "master", "trigger", "pins", "coverage", "Mmax", "Tmax", "cost"
-    );
+        "master",
+        "trigger",
+        "pins",
+        "coverage",
+        "Mmax",
+        "Tmax",
+        "cost"
+    )?;
     for p in &early.pairs {
-        println!(
+        outln!(
             "  {:>8} {:>8} {:>8} {:>8.0}% {:>5} {:>5} {:>7.2}",
             p.master.to_string(),
             p.trigger.to_string(),
@@ -967,8 +977,9 @@ fn print_pairs(early: &pl_flow::EarlyEvaled) {
             p.candidate.m_max,
             p.candidate.t_max,
             p.cost()
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Simulates 8 random vectors with tracing and writes a VCD waveform.
@@ -988,10 +999,10 @@ fn write_vcd(
     }
     let vcd = pl_sim::trace::to_vcd(pl, sim.trace(), mapped.name());
     std::fs::write(out_path, &vcd)?;
-    println!(
+    outln!(
         "[phased]    wrote {out_path}: {} signal changes over {:.1} ns",
         sim.trace().len(),
         sim.time()
-    );
+    )?;
     Ok(())
 }

@@ -200,7 +200,7 @@ fn sequential_streams(pl: &PlNetlist, streams: &[Vec<Vec<bool>>]) -> Vec<pl_sim:
 }
 
 /// Asserts the parallel sweep is bit-identical to the sequential engine
-/// on `pl` at every worker count, for both sweep shapes.
+/// on `pl` at every worker count.
 fn assert_parallel_matches_sequential(pl: &PlNetlist, streams: &[Vec<Vec<bool>>], context: &str) {
     let delays = DelayModel::default();
     let sequential = sequential_streams(pl, streams);
@@ -210,19 +210,6 @@ fn assert_parallel_matches_sequential(pl: &PlNetlist, streams: &[Vec<Vec<bool>>]
         // StreamOutcome derives PartialEq over outputs, makespan and
         // throughput — this is an exact (bitwise f64) comparison.
         assert_eq!(par, sequential, "{context}: jobs={jobs} diverged");
-    }
-    // Sharded single-stream sweep: shard boundaries are jobs-independent,
-    // so every worker count must reproduce the jobs=1 merge exactly.
-    let flat: Vec<Vec<bool>> = streams.iter().flatten().cloned().collect();
-    if !flat.is_empty() {
-        let shard_len = (flat.len() / 3).max(1);
-        let baseline =
-            pl_sim::sweep_sharded(pl, &delays, &flat, shard_len, scalar_config(1)).expect("shards");
-        for jobs in WORKER_COUNTS {
-            let par = pl_sim::sweep_sharded(pl, &delays, &flat, shard_len, scalar_config(jobs))
-                .unwrap_or_else(|e| panic!("{context}: sharded sweep failed at jobs={jobs}: {e}"));
-            assert_eq!(par, baseline, "{context}: sharded jobs={jobs} diverged");
-        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! The `plc` command-line contract, checked by running the built binary:
 //! the exact message and exit code 2 of every flag combination `plc`
-//! rejects before it runs, the set of flags each subcommand accepts, and
-//! that `plc client` against a live daemon prints the digest lines of
-//! `plc eco` with the same flags.
+//! rejects before it runs, the set of flags each subcommand accepts, a
+//! quiet exit when stdout closes early, and that `plc client` against a
+//! live daemon prints the digest lines of `plc eco` with the same flags.
 
 use std::process::{Command, Output};
 use std::sync::Arc;
@@ -118,7 +118,11 @@ fn contradictory_flags_are_rejected_with_their_messages() {
     );
     assert_usage_error(
         &["eco", "b01", "--lut-size", "9"],
-        "--lut-size 9 is outside the supported range 2..=6",
+        "--lut-size 9 is outside the supported range 2..=4",
+    );
+    assert_usage_error(
+        &["b03", "--lut-size", "5", "--vectors", "4"],
+        "--lut-size 5 is outside the supported range 2..=4",
     );
     assert_usage_error(
         &["eco", "b01", "--edit", "frobnicate:n1"],
@@ -132,6 +136,30 @@ fn contradictory_flags_are_rejected_with_their_messages() {
         &["client", "127.0.0.1:1"],
         "a design is required unless --stats or --shutdown is given",
     );
+}
+
+/// A reader that closes stdout early ends `plc` quietly, as in
+/// `plc b14 --ee --vectors 50 | head -1`: exit 0 and no panic.
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_plc"))
+        .args(["b14", "--ee", "--vectors", "50"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run plc");
+    let mut first = String::new();
+    // The reader, and with it the pipe, is dropped after the first line.
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("[ingest]"), "{first}");
+    let out = child.wait_with_output().expect("wait for plc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -566,6 +566,13 @@ fn daemon_rejects_every_cli_rejected_combination() {
             },
             "--lut-size 9 is outside the supported range",
         ),
+        (
+            RequestOptions {
+                lut_size: 5,
+                ..RequestOptions::default()
+            },
+            "--lut-size 5 is outside the supported range 2..=4",
+        ),
     ];
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     for (options, expect) in cases {
