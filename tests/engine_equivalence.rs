@@ -769,6 +769,62 @@ proptest! {
     }
 }
 
+/// The flow's lane protocol end to end: `Pipeline::simulate` at
+/// `lanes: Some(64)`, then `Pipeline::verify`. The outputs must equal 64
+/// striped scalar `run_stream`s of each variant, reassembled in vector
+/// order, and hash to the lane digests `plc --lanes 64` prints. b06 at
+/// 100 vectors ends in a ragged round (100 = 64 + 36).
+#[test]
+fn flow_lane_protocol_matches_striped_scalar_runs() {
+    use pl_flow::{CircuitSource, FlowOptions, Pipeline};
+    let b06 = concat!(env!("CARGO_MANIFEST_DIR"), "/assets/blif/b06.blif");
+    for (spec, vectors, digest) in [
+        (b06, 100, 0xfc3f_2091_862c_67ed_u64),
+        ("b14", 1000, 0x7822_a19b_8f36_8e76),
+    ] {
+        let pipeline = Pipeline::new(FlowOptions {
+            vectors,
+            lanes: Some(64),
+            ..FlowOptions::default()
+        });
+        let source = CircuitSource::from_spec(spec);
+        let ingested = pipeline.ingest(&source).expect("ingests");
+        let mapped = pipeline
+            .techmap(pipeline.optimize(ingested).expect("optimizes"))
+            .expect("maps");
+        let early = pipeline.early_eval(pipeline.phased(&mapped).expect("phases"));
+        let sim = pipeline.simulate(&early).expect("simulates");
+        pipeline.verify(&mapped.netlist, &sim).expect("verifies");
+        assert_eq!(sim.outputs.len(), vectors, "{spec}");
+
+        let mut stripes: Vec<Vec<Vec<bool>>> = vec![Vec::new(); 64];
+        for (i, v) in sim.inputs.iter().enumerate() {
+            stripes[i % 64].push(v.clone());
+        }
+        let ee = early.ee.as_ref().expect("EE is on by default");
+        for (pl, label) in [(&early.plain, "plain"), (ee, "ee")] {
+            let runs: Vec<Vec<Vec<bool>>> = stripes
+                .iter()
+                .map(|s| {
+                    PlSimulator::new(pl, DelayModel::default())
+                        .expect("builds")
+                        .run_stream(s)
+                        .expect("streams")
+                        .outputs
+                })
+                .collect();
+            let reassembled: Vec<Vec<bool>> =
+                (0..vectors).map(|i| runs[i % 64][i / 64].clone()).collect();
+            assert_eq!(sim.outputs, reassembled, "{spec} {label}");
+        }
+        assert_eq!(
+            pl_serve::outputs_digest(&sim.outputs),
+            digest,
+            "{spec}: lane digest"
+        );
+    }
+}
+
 /// Golden tripwire: fixed vectors through b01 and b06 (plain + EE) must
 /// keep producing exactly these output/latency fingerprints. Guards future
 /// engine changes against silent semantic drift even if both engines are
