@@ -1,6 +1,5 @@
 //! Machine-readable performance report: `BENCH_sim.json`,
-//! `BENCH_ee_search.json`, `BENCH_queue.json`, `BENCH_batch.json` and
-//! `BENCH_eco.json`.
+//! `BENCH_ee_search.json`, `BENCH_batch.json` and `BENCH_eco.json`.
 //!
 //! This is the cross-PR perf trajectory tracker. It measures, in one run:
 //!
@@ -13,11 +12,6 @@
 //! * **Trigger-search throughput** (`BENCH_ee_search.json`) — LUT4 trigger
 //!   searches/sec of the word-parallel search vs the per-assignment
 //!   baseline, and the memoized netlist-level EE transformation time.
-//! * **Event-queue backends** (`BENCH_queue.json`) — events/sec of the
-//!   engine scheduling through the binary heap vs the calendar/ladder
-//!   queue (`pl_sim::QueueKind`) on the same streamed b14/b15 workload,
-//!   with the two backends' outcomes asserted bit-identical (outputs,
-//!   makespan, dispatched-event counts) before any timing is reported.
 //! * **Word-parallel batch engine** (`BENCH_batch.json`) — events/sec and
 //!   vectors/sec of `pl_sim::BatchSimulator` marching 64 substreams
 //!   through one event flow with `u64` lane words, vs the same 64
@@ -52,7 +46,7 @@ use pl_boolfn::TruthTable;
 use pl_core::ee::EeOptions;
 use pl_core::trigger::{search_triggers, search_triggers_baseline, TriggerCache};
 use pl_core::PlNetlist;
-use pl_sim::{BatchSimulator, DelayModel, PlSimulator, QueueKind, ReferenceSimulator};
+use pl_sim::{BatchSimulator, DelayModel, PlSimulator, ReferenceSimulator};
 use pl_techmap::{map_to_lut4, MapOptions};
 
 struct SimRow {
@@ -161,8 +155,7 @@ fn host_meta_json() -> String {
 
 const SPEC: pl_flow::cli::CliSpec = pl_flow::cli::CliSpec {
     bin: "bench_report",
-    about:
-        "write BENCH_sim.json, BENCH_ee_search.json, BENCH_queue.json, BENCH_batch.json and BENCH_eco.json",
+    about: "write BENCH_sim.json, BENCH_ee_search.json, BENCH_batch.json and BENCH_eco.json",
     positional: None,
     options: &[
         pl_flow::cli::OptSpec {
@@ -354,79 +347,6 @@ fn main() {
     ee_json.push_str("\n  ]\n}\n");
     std::fs::write("BENCH_ee_search.json", &ee_json).expect("write BENCH_ee_search.json");
     println!("wrote BENCH_ee_search.json");
-
-    // ---- BENCH_queue.json ----------------------------------------------
-    // Event-queue backend comparison: the same continuous vector stream
-    // through the integer-tick engine scheduling via the binary heap vs
-    // the calendar/ladder queue. The two backends must be observationally
-    // indistinguishable — outputs, makespan AND dispatched-event counts
-    // are asserted identical before any timing is recorded — so the only
-    // thing this section measures is queue-operation cost. Timing follows
-    // the other sections' protocol (warm-up pass, then interleaved reps
-    // with the minimum kept).
-    let queue_vectors: usize = if quick { 20 } else { 200 };
-    let queue_reps = if quick { 2 } else { 5 };
-    let mut queue_lines = Vec::new();
-    for id in ["b14", "b15"] {
-        let (_, pl) = prepared_netlists(id);
-        let vecs = lcg_vectors(
-            pl.input_gates().len(),
-            queue_vectors,
-            0x5EED_0000 + queue_vectors as u64,
-        );
-        let delays = DelayModel::default();
-        // Warm-up + the bit-identity gate.
-        let mut heap_sim =
-            PlSimulator::with_queue(&pl, delays.clone(), QueueKind::Heap).expect("live");
-        let heap_out = heap_sim.run_stream(&vecs).expect("streams");
-        let mut ladder_sim =
-            PlSimulator::with_queue(&pl, delays.clone(), QueueKind::Ladder).expect("live");
-        let ladder_out = ladder_sim.run_stream(&vecs).expect("streams");
-        assert_eq!(heap_out, ladder_out, "{id}: ladder diverged from heap");
-        assert_eq!(
-            heap_sim.events_processed(),
-            ladder_sim.events_processed(),
-            "{id}: backends dispatched different event counts"
-        );
-        let events = heap_sim.events_processed();
-        let (mut heap_secs, mut ladder_secs) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..queue_reps {
-            for (kind, best) in [
-                (QueueKind::Heap, &mut heap_secs),
-                (QueueKind::Ladder, &mut ladder_secs),
-            ] {
-                let t0 = Instant::now();
-                let r = PlSimulator::with_queue(&pl, delays.clone(), kind)
-                    .expect("live")
-                    .run_stream(&vecs)
-                    .expect("streams");
-                *best = best.min(t0.elapsed().as_secs_f64());
-                debug_assert_eq!(r, heap_out);
-            }
-        }
-        println!(
-            "{id}: queue backends ({queue_vectors} vectors, {events} events, min of {queue_reps}) heap {heap_secs:.3}s ({:.0} ev/s), ladder {ladder_secs:.3}s ({:.0} ev/s), ladder speedup {:.2}x, outputs bit-identical",
-            events as f64 / heap_secs,
-            events as f64 / ladder_secs,
-            heap_secs / ladder_secs,
-        );
-        queue_lines.push(format!(
-            "    {{\"bench\": \"{id}\", \"vectors\": {queue_vectors}, \"events\": {events}, \"reps\": {queue_reps}, \"heap_secs\": {heap_secs:.6}, \"ladder_secs\": {ladder_secs:.6}, \"heap_events_per_sec\": {:.1}, \"ladder_events_per_sec\": {:.1}, \"ladder_speedup\": {:.3}, \"bit_identical\": true}}",
-            events as f64 / heap_secs,
-            events as f64 / ladder_secs,
-            heap_secs / ladder_secs,
-        ));
-    }
-    let mut queue_json = format!("{{\n{host_meta}");
-    let _ = writeln!(
-        queue_json,
-        "  \"note\": \"the same streamed workload scheduled through both pl_sim::QueueKind backends; secs are the min over reps after a warm-up; bit_identical asserts outputs, makespan and dispatched-event counts match exactly, so only queue-operation cost differs\","
-    );
-    queue_json.push_str("  \"queue_backends\": [\n");
-    queue_json.push_str(&queue_lines.join(",\n"));
-    queue_json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_queue.json", &queue_json).expect("write BENCH_queue.json");
-    println!("wrote BENCH_queue.json");
 
     // ---- BENCH_batch.json ----------------------------------------------
     // Word-parallel batch engine vs sequential scalar runs: 64 substreams

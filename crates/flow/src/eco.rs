@@ -424,8 +424,8 @@ impl EcoSession {
     }
 
     /// Sweeps the retained compile again under `opts`' simulation fields
-    /// (`vectors`, `seed`, `jobs`, `queue`, `window`, `lanes`,
-    /// `checkpoint_dir`, `resume` and `verify`), and verifies it when
+    /// (`vectors`, `seed`, `jobs`, `window`, `lanes`, `checkpoint_dir`,
+    /// `resume` and `verify`), and verifies it when
     /// `opts.verify` is set, without changing the session. Every other
     /// field stays the session's, so the sweep runs over exactly the
     /// netlists the session compiled; the result equals the sweep of a

@@ -136,6 +136,16 @@ mod tests {
         })
         .run(&src)
         .unwrap();
+        // The lane protocol runs its variants in parallel too; 70 vectors
+        // give it a ragged second round.
+        let lanes = |jobs| FlowOptions {
+            vectors: 70,
+            lanes: Some(64),
+            verify: false,
+            jobs,
+            ..FlowOptions::default()
+        };
+        let lane_base = Pipeline::new(lanes(1)).run(&src).unwrap();
         for jobs in [2, 4] {
             let par = Pipeline::new(FlowOptions {
                 vectors: 8,
@@ -155,6 +165,8 @@ mod tests {
                 base.stats_ee.as_ref().unwrap().per_vector,
                 "jobs={jobs}"
             );
+            let lane_par = Pipeline::new(lanes(jobs)).run(&src).unwrap();
+            assert_eq!(lane_par.outputs, lane_base.outputs, "lanes, jobs={jobs}");
         }
     }
 
@@ -274,6 +286,13 @@ mod tests {
                     ..base.clone()
                 },
                 "--lanes 7 is not a supported width",
+            ),
+            (
+                FlowOptions {
+                    lanes: Some(1),
+                    ..base.clone()
+                },
+                "--lanes 1 is not a supported width (64 = batch engine)",
             ),
             (
                 FlowOptions {

@@ -72,7 +72,8 @@ use pl_lint::{LintOptions, LintReport};
 use pl_netlist::blif::BlifNote;
 use pl_netlist::Netlist;
 use pl_sim::{
-    DelayModel, LatencyStats, PlSimulator, QueueKind, ResumableOptions, SweepConfig, SweepRecovery,
+    BatchSimulator, DelayModel, LatencyStats, PlSimulator, QueueKind, ResumableOptions,
+    SweepRecovery,
 };
 use pl_techmap::{map_with_memo, MapMemo, MapOptions, MapReuseStats, ReusePlan};
 
@@ -95,15 +96,13 @@ pub struct FlowOptions {
     pub delays: DelayModel,
     /// Cross-check PL outputs against the synchronous reference.
     pub verify: bool,
-    /// Worker threads for the simulate stage (`0` = one per core): the
-    /// per-vector and streamed protocols spread the plain and EE variants
-    /// over them, the lane protocol its 64 substreams. Results are
-    /// bit-identical at any value; `jobs` never selects a code path.
+    /// Worker threads for the simulate stage (`0` = one per core). Under
+    /// every protocol the plain and EE variants are spread over them, so
+    /// at most two are used. Results are bit-identical at any value;
+    /// `jobs` never selects a code path.
     pub jobs: usize,
-    /// Event-queue backend for every simulator the simulate stage builds
-    /// (binary heap or calendar/ladder queue). A pure implementation
-    /// choice: outputs, latencies and stream outcomes are bit-identical
-    /// across kinds; only the queue-operation cost profile changes.
+    /// Ignored: the engine has one event queue. Kept only so existing
+    /// callers still compile; it is slated for deletion.
     pub queue: QueueKind,
     /// When set, the simulate stage runs the *streamed* protocol instead
     /// of the per-vector latency protocol: each variant's whole vector
@@ -118,14 +117,11 @@ pub struct FlowOptions {
     /// When set, the simulate stage runs the *lane* protocol: the vector
     /// stream is striped 64 ways (vector `i` → substream `i % 64`, round
     /// `i / 64`; each substream is an independent run from the initial
-    /// marking) and the substreams are swept together — on 64 scalar
-    /// simulators with `Some(1)`, or on the word-parallel
-    /// [`pl_sim::BatchSimulator`] with `Some(64)`, which marches all 64
-    /// substreams through a *single* event flow with `u64` lane words.
-    /// The striping is identical for both widths, so their reassembled
-    /// outputs are bit-identical — `--lanes 1` vs `--lanes 64` diffs
-    /// cleanly even on stateful designs. Only `1` and `64` are accepted;
-    /// mutually exclusive with [`FlowOptions::window`] and
+    /// marking), and each variant marches all 64 substreams through one
+    /// event flow of the word-parallel [`pl_sim::BatchSimulator`], with
+    /// `u64` lane words. The reassembled outputs are bit-identical to 64
+    /// scalar runs of the substreams. Only `64` is accepted; mutually
+    /// exclusive with [`FlowOptions::window`] and
     /// [`FlowOptions::checkpoint_dir`]. Latency statistics are empty in
     /// this mode (substreams measure values, not per-vector latency).
     pub lanes: Option<usize>,
@@ -194,7 +190,7 @@ impl FlowOptions {
     pub const MAX_INPUT_BITS: usize = 1 << 26;
 
     /// These options with `sim`'s simulation fields: `vectors`, `seed`,
-    /// `jobs`, `queue`, `window`, `lanes`, `checkpoint_dir`, `resume` and
+    /// `jobs`, `window`, `lanes`, `checkpoint_dir`, `resume` and
     /// `verify`. Every other field fixes what a compile produces (mapped
     /// and phased netlists, EE pairs), so it stays as in `self`.
     #[must_use]
@@ -203,7 +199,6 @@ impl FlowOptions {
             vectors: sim.vectors,
             seed: sim.seed,
             jobs: sim.jobs,
-            queue: sim.queue,
             window: sim.window,
             lanes: sim.lanes,
             checkpoint_dir: sim.checkpoint_dir.clone(),
@@ -223,7 +218,7 @@ impl FlowOptions {
     ///   map could never reach the phased stage),
     /// * more than [`FlowOptions::MAX_VECTORS`] vectors,
     /// * a zero streaming window,
-    /// * a lane width other than 1 or 64,
+    /// * a lane width other than 64,
     /// * [`FlowOptions::lanes`] with [`FlowOptions::window`] (the lane
     ///   and streamed protocols differ),
     /// * [`FlowOptions::lanes`] with [`FlowOptions::checkpoint_dir`]
@@ -259,9 +254,9 @@ impl FlowOptions {
             return reject("--window must be at least 1".to_string());
         }
         if let Some(lanes) = self.lanes {
-            if lanes != 1 && lanes != 64 {
+            if lanes != 64 {
                 return reject(format!(
-                    "--lanes {lanes} is not a supported width (1 = scalar engines, 64 = batch engine)"
+                    "--lanes {lanes} is not a supported width (64 = batch engine)"
                 ));
             }
             if self.window.is_some() {
@@ -458,14 +453,12 @@ pub struct SimReport {
     pub vectors: usize,
     /// Worker threads the stage ran on.
     pub jobs: usize,
-    /// Event-queue backend the stage's simulators scheduled through.
-    pub queue: QueueKind,
     /// Window size when the streamed protocol ran (see
     /// [`FlowOptions::window`]); `None` for the per-vector protocol.
     pub window: Option<usize>,
     /// Lane width when the lane protocol ran (see
-    /// [`FlowOptions::lanes`]): `Some(1)` for 64 scalar substreams,
-    /// `Some(64)` for the word-parallel batch engine; `None` otherwise.
+    /// [`FlowOptions::lanes`]): `Some(64)`, the word-parallel batch
+    /// engine; `None` otherwise.
     pub lanes: Option<usize>,
     /// Recovery audit trail of the plain variant when the crash-resumable
     /// sweep ran (see [`FlowOptions::checkpoint_dir`]); `None` otherwise.
@@ -590,9 +583,9 @@ impl FlowReport {
     }
 }
 
-/// One variant's simulate-stage result under the per-vector or streamed
-/// protocol: its output words, its latency statistics (empty when
-/// streamed), and its stream outcome and recovery trail (streamed only).
+/// One variant's simulate-stage result under any protocol: its output
+/// words, its latency statistics (per-vector only; empty otherwise), and
+/// its stream outcome and recovery trail (streamed only).
 struct VariantRun {
     outputs: Vec<Vec<bool>>,
     stats: LatencyStats,
@@ -858,9 +851,10 @@ impl Pipeline {
 
     /// **Stage 6 — simulate**: runs seeded random vectors through every
     /// variant and asserts the EE variant's outputs equal the plain
-    /// variant's. Two protocols, selected by [`FlowOptions::window`]:
+    /// variant's. Three protocols, selected by [`FlowOptions::window`]
+    /// and [`FlowOptions::lanes`]:
     ///
-    /// * **Per-vector** (`window: None`, the paper's Table 3 protocol) —
+    /// * **Per-vector** (neither set, the paper's Table 3 protocol) —
     ///   measures stable-input→stable-output latency vector by vector.
     /// * **Streamed** (`window: Some(n)`) — pipelines the whole vector
     ///   stream through each variant as one continuous
@@ -871,8 +865,12 @@ impl Pipeline {
     ///   on-disk checkpoints every `n` vectors + journal, kill/resume
     ///   recovery) and the report carries each variant's
     ///   [`SweepRecovery`] audit trail.
+    /// * **Lane** (`lanes: Some(64)`) — stripes the stream 64 ways and
+    ///   runs each variant's substreams through one
+    ///   [`pl_sim::BatchSimulator::run_lanes`] call, reassembling the
+    ///   output words in vector order.
     ///
-    /// Either way the plain/EE variants are scattered across
+    /// Under every protocol the plain/EE variants are scattered across
     /// [`FlowOptions::jobs`] workers, and the results are bit-identical
     /// at any worker count.
     ///
@@ -908,66 +906,21 @@ impl Pipeline {
             });
         }
         let inputs = pl_sim::random_vectors(width, self.opts.vectors, self.opts.seed);
-        let report = SimReport {
-            vectors: self.opts.vectors,
-            jobs: self.opts.jobs,
-            queue: self.opts.queue,
-            window: self.opts.window,
-            lanes: self.opts.lanes,
-            recovery_plain: None,
-            recovery_ee: None,
-            secs: 0.0,
-        };
-        if let Some(lanes) = self.opts.lanes {
-            // Lane protocol: stripe the stream 64 ways (vector i →
-            // substream i % 64), sweep the substreams on scalar engines
-            // (lanes = 1) or one batch engine per 64-block (lanes = 64),
-            // and reassemble in vector order. The striping is width-
-            // invariant, so both widths produce identical outputs.
-            let mut subs: Vec<Vec<Vec<bool>>> = vec![Vec::new(); 64];
+        // The lane protocol stripes the stream once for both variants:
+        // vector i goes to substream i % 64, round i / 64.
+        let stripes = self.opts.lanes.map(|lanes| {
+            let mut stripes: Vec<Vec<Vec<bool>>> = vec![Vec::new(); lanes];
             for (i, v) in inputs.iter().enumerate() {
-                subs[i % 64].push(v.clone());
+                stripes[i % lanes].push(v.clone());
             }
-            let config = SweepConfig {
-                lanes,
-                jobs: self.opts.jobs,
-                queue: self.opts.queue,
-            };
-            let sweep =
-                |pl: &PlNetlist| pl_sim::sweep_streams(pl, &self.opts.delays, &subs, config);
-            let reassemble = |outs: &[pl_sim::StreamOutcome]| -> Vec<Vec<bool>> {
-                (0..inputs.len())
-                    .map(|i| outs[i % 64].outputs[i / 64].clone())
-                    .collect()
-            };
-            let outputs = reassemble(&sweep(plain)?);
-            if let Some(pl) = ee {
-                if reassemble(&sweep(pl)?) != outputs {
-                    return Err(FlowError::Mismatch {
-                        context: format!("{name} (EE vs plain, {lanes}-lane)"),
-                    });
-                }
-            }
-            return Ok(Simulated {
-                name: name.to_string(),
-                inputs,
-                outputs,
-                stats_plain: LatencyStats::new(Vec::new()),
-                stats_ee: ee.map(|_| LatencyStats::new(Vec::new())),
-                stream_plain: None,
-                stream_ee: None,
-                report: SimReport {
-                    secs: t0.elapsed().as_secs_f64(),
-                    ..report
-                },
-            });
-        }
+            stripes
+        });
         let variants: Vec<(&PlNetlist, &str)> = std::iter::once((plain, "plain"))
             .chain(ee.map(|pl| (pl, "ee")))
             .collect();
         let results =
             pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, &(pl, variant)| {
-                self.simulate_variant(pl, &inputs, variant)
+                self.simulate_variant(pl, &inputs, stripes.as_deref(), variant)
             });
         let mut runs = Vec::with_capacity(results.len());
         for r in results {
@@ -976,7 +929,9 @@ impl Pipeline {
         let plain = runs.swap_remove(0);
         let ee_run = runs.pop();
         if ee_run.as_ref().is_some_and(|r| r.outputs != plain.outputs) {
-            let protocol = if self.opts.window.is_some() {
+            let protocol = if self.opts.lanes.is_some() {
+                ", 64-lane"
+            } else if self.opts.window.is_some() {
                 ", streamed"
             } else {
                 ""
@@ -998,10 +953,13 @@ impl Pipeline {
             stream_plain: plain.stream,
             stream_ee,
             report: SimReport {
+                vectors: self.opts.vectors,
+                jobs: self.opts.jobs,
+                window: self.opts.window,
+                lanes: self.opts.lanes,
                 recovery_plain: plain.recovery,
                 recovery_ee,
                 secs: t0.elapsed().as_secs_f64(),
-                ..report
             },
         })
     }
@@ -1026,22 +984,37 @@ impl Pipeline {
         Ok((sim, verify))
     }
 
-    /// Simulates one variant under the per-vector protocol, or under the
-    /// streamed protocol when [`FlowOptions::window`] is set: the
-    /// crash-resumable sweep (under `checkpoint_dir/<variant>`) when a
-    /// checkpoint directory is configured, a plain `run_stream`
-    /// otherwise. Both streamed paths give the same outcome; only the
-    /// resumable one yields a recovery trail.
+    /// Simulates one variant under the lane protocol when `stripes` (the
+    /// 64 substreams of `inputs`) are given, under the per-vector protocol
+    /// when [`FlowOptions::window`] is not set, and under the streamed
+    /// protocol otherwise: the crash-resumable sweep (under
+    /// `checkpoint_dir/<variant>`) when a checkpoint directory is
+    /// configured, a plain `run_stream` otherwise. Both streamed paths
+    /// give the same outcome; only the resumable one yields a recovery
+    /// trail.
     fn simulate_variant(
         &self,
         pl: &PlNetlist,
         inputs: &[Vec<bool>],
+        stripes: Option<&[Vec<Vec<bool>>]>,
         variant: &str,
     ) -> Result<VariantRun, FlowError> {
         let opts = &self.opts;
+        if let Some(stripes) = stripes {
+            let lanes: Vec<&[Vec<bool>]> = stripes.iter().map(Vec::as_slice).collect();
+            let outs = BatchSimulator::new(pl, opts.delays.clone())?.run_lanes(&lanes)?;
+            let n = lanes.len();
+            return Ok(VariantRun {
+                outputs: (0..inputs.len())
+                    .map(|i| outs[i % n].outputs[i / n].clone())
+                    .collect(),
+                stats: LatencyStats::new(Vec::new()),
+                stream: None,
+                recovery: None,
+            });
+        }
         let Some(window) = opts.window else {
-            let (outputs, stats) =
-                pl_sim::measure_latency_on(pl, &opts.delays, inputs, opts.queue)?;
+            let (outputs, stats) = pl_sim::measure_latency_on(pl, &opts.delays, inputs)?;
             return Ok(VariantRun {
                 outputs,
                 stats,
@@ -1051,7 +1024,7 @@ impl Pipeline {
         };
         let (mut stream, recovery) = match &opts.checkpoint_dir {
             None => {
-                let mut sim = PlSimulator::with_queue(pl, opts.delays.clone(), opts.queue)?;
+                let mut sim = PlSimulator::new(pl, opts.delays.clone())?;
                 (sim.run_stream(inputs)?, None)
             }
             Some(dir) => {
@@ -1064,7 +1037,6 @@ impl Pipeline {
                 let resume = opts.resume && vdir.join("sweep.meta").exists();
                 let ropts = ResumableOptions {
                     window,
-                    queue: opts.queue,
                     resume,
                     ..ResumableOptions::default()
                 };

@@ -21,11 +21,12 @@
 //!
 //! Every other kind byte is rejected typed. Unknown flag bits, queue
 //! bytes and option tags are likewise rejected rather than ignored, so
-//! a skewed client cannot silently get different semantics.
+//! a skewed client cannot silently get different semantics. The queue
+//! byte must be 0: the engine has one event queue.
 
 use crate::error::ServeError;
 use crate::wire::{push_string, read_string};
-use pl_flow::{FlowArtifacts, FlowOptions, QueueKind};
+use pl_flow::{FlowArtifacts, FlowOptions};
 use pl_sim::checkpoint::wire::Reader;
 use pl_sim::Fnv64;
 
@@ -126,7 +127,7 @@ impl DesignSpec {
 /// byte-for-byte to an in-process run.
 ///
 /// Five fields fix the compile: `lut_size`, `threshold`, `ee`, `optimize`
-/// and `no_lint` (see [`RequestOptions::compile_key`]). The other seven
+/// and `no_lint` (see [`RequestOptions::compile_key`]). The other six
 /// only configure the sweep over it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestOptions {
@@ -148,11 +149,9 @@ pub struct RequestOptions {
     pub optimize: bool,
     /// Skip the lint stages.
     pub no_lint: bool,
-    /// Event-queue implementation.
-    pub queue: QueueKind,
     /// Streamed protocol window (`None` = per-vector).
     pub window: Option<usize>,
-    /// Lane width (`None` = scalar; validation enforces `{1, 64}`).
+    /// Lane width (`None` = scalar; validation accepts only 64).
     pub lanes: Option<usize>,
 }
 
@@ -183,7 +182,6 @@ impl From<&FlowOptions> for RequestOptions {
             verify: o.verify,
             optimize: o.optimize,
             no_lint: !o.lint.enabled,
-            queue: o.queue,
             window: o.window,
             lanes: o.lanes,
         }
@@ -204,7 +202,6 @@ impl RequestOptions {
             ee_enabled: self.ee,
             verify: self.verify,
             optimize: self.optimize,
-            queue: self.queue,
             window: self.window,
             lanes: self.lanes,
             ..FlowOptions::default()
@@ -242,7 +239,7 @@ impl RequestOptions {
         out.extend_from_slice(&(self.lut_size as u64).to_le_bytes());
         out.extend_from_slice(&self.threshold.to_bits().to_le_bytes());
         out.push(self.flags());
-        out.push(queue_byte(self.queue));
+        out.push(0); // the queue byte
         encode_opt(out, self.window);
         encode_opt(out, self.lanes);
     }
@@ -259,15 +256,12 @@ impl RequestOptions {
                 message: format!("unknown option flag bits {:#04x}", flags & !0b1111),
             });
         }
-        let queue = match c.u8("queue")? {
-            0 => QueueKind::Heap,
-            1 => QueueKind::Ladder,
-            other => {
-                return Err(ServeError::Request {
-                    message: format!("unknown queue byte {other}"),
-                });
-            }
-        };
+        let queue = c.u8("queue")?;
+        if queue != 0 {
+            return Err(ServeError::Request {
+                message: format!("unknown queue byte {queue}"),
+            });
+        }
         let window = decode_opt(c, "window")?;
         let lanes = decode_opt(c, "lanes")?;
         Ok(RequestOptions {
@@ -280,17 +274,9 @@ impl RequestOptions {
             verify: flags & 2 != 0,
             optimize: flags & 4 != 0,
             no_lint: flags & 8 != 0,
-            queue,
             window,
             lanes,
         })
-    }
-}
-
-fn queue_byte(q: QueueKind) -> u8 {
-    match q {
-        QueueKind::Heap => 0,
-        QueueKind::Ladder => 1,
     }
 }
 
@@ -736,18 +722,25 @@ mod tests {
             design: DesignSpec::Spec("b01".into()),
             options: RequestOptions::default(),
         };
-        let (kind, mut payload) = req.encode();
-        // The flags byte sits after design (tag + string) and five u64s.
+        let (kind, payload) = req.encode();
+        // The flags byte sits after design (tag + string) and five u64s;
+        // the queue byte follows it.
         let flags_at = 1 + 8 + 3 + 5 * 8;
         assert_eq!(payload[flags_at] & 0b1111, payload[flags_at]);
-        payload[flags_at] |= 0b1_0000;
-        assert!(matches!(
-            Request::decode(kind, &payload),
-            Err(ServeError::Request { .. })
-        ));
+        assert_eq!(payload[flags_at + 1], 0);
+        let mut bad = vec![(flags_at, payload[flags_at] | 0b1_0000)];
+        bad.extend([1, 2, 0xff].map(|q| (flags_at + 1, q)));
+        for (at, byte) in bad {
+            let mut p = payload.clone();
+            p[at] = byte;
+            assert!(
+                matches!(Request::decode(kind, &p), Err(ServeError::Request { .. })),
+                "byte {byte:#04x} at {at} decoded"
+            );
+        }
     }
 
-    /// The cache key splits the twelve fields: each of the seven sweep
+    /// The cache key splits the eleven fields: each of the six sweep
     /// fields (the seed among them) leaves it unchanged, each of the five
     /// compile fields moves it.
     #[test]
@@ -759,11 +752,10 @@ mod tests {
             assert_ne!(o, base);
             o.compile_key()
         };
-        let sweep: [fn(&mut RequestOptions); 7] = [
+        let sweep: [fn(&mut RequestOptions); 6] = [
             |o| o.vectors += 1,
             |o| o.seed ^= 1,
             |o| o.jobs = 4,
-            |o| o.queue = QueueKind::Ladder,
             |o| o.window = Some(4),
             |o| o.lanes = Some(64),
             |o| o.verify = true,
@@ -790,7 +782,6 @@ mod tests {
             threshold: 0.5,
             optimize: true,
             no_lint: true,
-            queue: QueueKind::Ladder,
             window: Some(4),
             ..sample_options()
         };

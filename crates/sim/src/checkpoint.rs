@@ -20,11 +20,9 @@
 //! every window boundary of a long stream; a killed run resumes from the
 //! latest one.
 //!
-//! Checkpoints are **queue-kind-portable**: the in-flight event queue is
-//! canonicalized to a sorted `(tick, seq)` event list regardless of the
-//! source simulator's [`crate::queue::QueueKind`], so a snapshot taken on
-//! a heap-engine simulator resumes bit-identically on a ladder-engine one
-//! and vice versa (the restoring simulator keeps its own backend).
+//! The in-flight event queue is stored as a sorted `(tick, seq)` event
+//! list, a canonical form that does not depend on the live heap's
+//! internal layout.
 //!
 //! What is deliberately *not* captured: the waveform trace
 //! ([`PlSimulator::enable_tracing`] recordings are a debugging artifact,

@@ -17,34 +17,13 @@
 //!   ([`crate::delay::TICKS_PER_NS`]) quantized once from the [`DelayModel`]
 //!   via [`DelayModel::to_ticks`]. Tick keys compare exactly; there is no
 //!   `f64::total_cmp` heap ordering and no accumulated rounding drift.
-//! * **Pluggable event queue** — pending events live in a
-//!   [`crate::queue::EventQueue`] over packed `(tick, seq)` keys (`seq`
-//!   makes the order total and deterministic), enum-dispatched over two
-//!   backends selected at construction
-//!   ([`PlSimulator::with_queue`] / [`crate::queue::QueueKind`]):
-//!
-//!   * `Heap` (the default) — a flat `Vec`-backed binary min-heap,
-//!     O(log n) per operation, fully general, and free of steady-state
-//!     allocation (capacity is retained across rounds; the ladder trades
-//!     that for small per-bucket allocations).
-//!   * `Ladder` — a calendar/ladder queue bucketed by integer tick with
-//!     FIFO (`seq`) order inside buckets and automatic refinement /
-//!     resize rungs. Amortized O(1) push/pop. It wins when the pending
-//!     set is large and the tick distribution is dense and
-//!     near-monotonic — exactly what this engine produces, since every
-//!     scheduled event lies at most one maximum component delay
-//!     (~3.1 ns on the default model) ahead of the current time, and
-//!     the larger ITC'99 designs keep hundreds of events in flight. For
-//!     tiny designs (tens of events pending) the heap's lower constant
-//!     factor wins instead; `BENCH_queue.json` tracks the measured
-//!     crossover on streamed b14/b15.
-//!
-//!   The backend is an implementation detail, never semantics: both pop
-//!   in exactly ascending `(tick, seq)` order, results are bit-identical
-//!   (differentially pinned across the whole equivalence suite), and
-//!   [`crate::SimCheckpoint`]s canonicalize the in-flight queue to a
-//!   sorted event list, so a checkpoint taken on one backend resumes on
-//!   the other.
+//! * **One event queue** — pending events live in a
+//!   [`crate::queue::EventQueue`], a `Vec`-backed binary min-heap over
+//!   packed `(tick, seq)` keys (`seq` makes the order total and
+//!   deterministic). It is O(log n) per operation and free of
+//!   steady-state allocation (capacity is retained across rounds).
+//!   [`crate::SimCheckpoint`]s store the in-flight queue as a sorted
+//!   event list, independent of the heap's layout.
 //! * **CSR adjacency** — all topology questions go through
 //!   [`pl_core::PlAdjacency`]: per-gate contiguous slices of pin-indexed
 //!   data-in arcs, ack in-arcs, and out-arcs pre-split into value-carrying
@@ -157,7 +136,7 @@ pub(crate) enum EventKind<L: LaneWord = bool> {
 /// One canonicalized in-flight event as a checkpoint stores it. The live
 /// queue itself is a [`crate::queue::EventQueue`] over `(key, kind)`
 /// pairs; this struct only exists so [`crate::SimCheckpoint`] can carry a
-/// queue-kind-portable sorted event list.
+/// sorted event list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Event<L: LaneWord = bool> {
     /// `(tick << 64) | seq` — a strict total order (seq is unique).
@@ -226,29 +205,12 @@ pub type BatchSimulator<'a> = LaneSimulator<'a, u64>;
 
 impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// Prepares a simulator: checks structural liveness, freezes the flat
-    /// adjacency, and places the initial marking. Events schedule through
-    /// the default [`QueueKind::Heap`] backend; use
-    /// [`PlSimulator::with_queue`] to select another.
+    /// adjacency, and places the initial marking.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Structural`] if the netlist is not live.
     pub fn new(pl: &'a PlNetlist, delays: DelayModel) -> Result<Self, SimError> {
-        Self::with_queue(pl, delays, QueueKind::default())
-    }
-
-    /// [`PlSimulator::new`] with an explicit event-queue backend. The
-    /// backend is a pure implementation choice — simulation results are
-    /// bit-identical across kinds (see [`crate::queue`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Structural`] if the netlist is not live.
-    pub fn with_queue(
-        pl: &'a PlNetlist,
-        delays: DelayModel,
-        queue: QueueKind,
-    ) -> Result<Self, SimError> {
         pl.check_pins()?;
         pl_core::marked::check_liveness(pl)?;
         let adj = pl.adjacency();
@@ -262,7 +224,7 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             now: 0,
             seq: 0,
             events: 0,
-            queue: EventQueue::new(queue),
+            queue: EventQueue::new(),
             tokens: pl.arcs().iter().map(pl_core::PlArc::init_tokens).collect(),
             values: pl.arcs().iter().map(|a| L::splat(a.init_value())).collect(),
             pin_tokens: vec![0; n],
@@ -300,6 +262,21 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         Ok(sim)
     }
 
+    /// [`PlSimulator::new`], ignoring the queue argument: the engine has
+    /// one event queue. Kept only so existing callers still compile; it
+    /// is slated for deletion.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Structural`] if the netlist is not live.
+    pub fn with_queue(
+        pl: &'a PlNetlist,
+        delays: DelayModel,
+        _queue: QueueKind,
+    ) -> Result<Self, SimError> {
+        Self::new(pl, delays)
+    }
+
     /// Current simulation time (ns).
     #[must_use]
     pub fn time(&self) -> f64 {
@@ -317,12 +294,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     #[must_use]
     pub fn delay_model(&self) -> &DelayModel {
         &self.delays
-    }
-
-    /// The event-queue backend this simulator schedules through.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Number of completed vectors.
@@ -362,30 +333,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// [`SimError::SafetyViolation`] / [`SimError::UnsoundTrigger`] indicate
     /// internal invariant breaches.
     pub fn run_vector(&mut self, inputs: &[L]) -> Result<VectorOutcome<L>, SimError> {
-        let mut outputs = Vec::new();
-        let (latency, completed_at) = self.run_vector_into(inputs, &mut outputs)?;
-        Ok(VectorOutcome {
-            outputs,
-            latency,
-            completed_at,
-        })
-    }
-
-    /// [`PlSimulator::run_vector`] writing the output word into a
-    /// caller-owned scratch buffer instead of allocating one — the
-    /// hot-loop primitive for digest/compare passes that run millions of
-    /// vectors and never keep the words. `out` is cleared first; its
-    /// capacity is reused across calls. Returns `(latency, completed_at)`
-    /// in ns, exactly the timing fields of [`VectorOutcome`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PlSimulator::run_vector`].
-    pub fn run_vector_into(
-        &mut self,
-        inputs: &[L],
-        out: &mut Vec<L>,
-    ) -> Result<(f64, f64), SimError> {
         let ports = self.pl.input_gates();
         if inputs.len() != ports.len() {
             return Err(SimError::InputArityMismatch {
@@ -413,16 +360,19 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             self.now = crate::queue::tick_of(key);
             self.dispatch(kind)?;
         }
-        out.clear();
-        out.reserve(self.records.len());
+        let mut outputs = Vec::with_capacity(self.records.len());
         let mut completed_at = start;
         for q in &mut self.records {
             let (v, t) = q.pop_front().expect("round_complete guarantees a record");
-            out.push(v);
+            outputs.push(v);
             completed_at = completed_at.max(t);
         }
         self.rounds += 1;
-        Ok((ticks_to_ns(completed_at - start), ticks_to_ns(completed_at)))
+        Ok(VectorOutcome {
+            outputs,
+            latency: ticks_to_ns(completed_at - start),
+            completed_at: ticks_to_ns(completed_at),
+        })
     }
 
     /// Streams vectors through the netlist *pipelined*: each vector is
@@ -1202,21 +1152,6 @@ mod tests {
         assert_eq!(sim.run_vector(&[true]).unwrap().outputs, vec![true]);
     }
 
-    #[test]
-    fn run_vector_into_reuses_buffer_and_matches_run_vector() {
-        let pl = and_gate();
-        let mut sim_a = PlSimulator::new(&pl, DelayModel::default()).unwrap();
-        let mut sim_b = PlSimulator::new(&pl, DelayModel::default()).unwrap();
-        let mut scratch = Vec::new();
-        for ins in [[true, true], [true, false], [false, true], [true, true]] {
-            let r = sim_a.run_vector(&ins).unwrap();
-            let (latency, completed_at) = sim_b.run_vector_into(&ins, &mut scratch).unwrap();
-            assert_eq!(scratch, r.outputs);
-            assert_eq!(latency.to_bits(), r.latency.to_bits());
-            assert_eq!(completed_at.to_bits(), r.completed_at.to_bits());
-        }
-    }
-
     /// Differential: new engine vs the retained pre-refactor baseline, with
     /// and without EE, per-vector and streamed.
     #[test]
@@ -1277,6 +1212,24 @@ mod tests {
                 let want = scalar.run_stream(s).unwrap();
                 assert_eq!(out.outputs, want.outputs, "a lane diverged from scalar");
             }
+        }
+    }
+
+    /// A wrong-arity vector in any lane is a typed error; with several,
+    /// the lowest lane of the earliest round is the one reported.
+    #[test]
+    fn run_lanes_reports_the_first_malformed_lane() {
+        let pl = and_gate();
+        let good = vec![vec![true, false]; 3];
+        let short = vec![vec![true]];
+        let long = vec![vec![false; 5]];
+        let mut batch = BatchSimulator::new(&pl, DelayModel::default()).unwrap();
+        match batch.run_lanes(&[&good, &short, &good, &long]) {
+            Err(SimError::InputArityMismatch {
+                got: 1,
+                expected: 2,
+            }) => {}
+            other => panic!("expected lane 1's arity error, got {other:?}"),
         }
     }
 

@@ -14,14 +14,10 @@
 //!
 //!   The engine core is integer-timed: events are keyed on `u64`
 //!   femtosecond ticks ([`TICKS_PER_NS`], quantized once via
-//!   [`DelayModel::to_ticks`]) in a pluggable [`queue::EventQueue`]
-//!   ordered by `(tick, seq)` — a binary min-heap by default
-//!   (steady-state allocation-free: capacity is retained across rounds),
-//!   or a calendar/ladder queue ([`QueueKind::Ladder`], amortized O(1)
-//!   queue ops on the engine's dense near-monotonic schedules, at the
-//!   cost of small per-bucket allocations) selected via
-//!   [`PlSimulator::with_queue`], bit-identical results either way;
-//!   topology queries go through the frozen CSR adjacency
+//!   [`DelayModel::to_ticks`]) in one [`queue::EventQueue`], a binary
+//!   min-heap ordered by `(tick, seq)` (steady-state allocation-free:
+//!   capacity is retained across rounds); topology queries go through
+//!   the frozen CSR adjacency
 //!   ([`pl_core::PlAdjacency`]: pin-indexed data-in arcs, ack in-arcs,
 //!   out-arcs pre-split into value/ack lists); and firing readiness is
 //!   tracked incrementally in per-gate pin bitsets plus an ack counter, so
@@ -31,11 +27,9 @@
 //!   that pins these semantics differentially
 //!   (`tests/engine_equivalence.rs`) and anchors the speedup numbers in
 //!   `BENCH_sim.json`.
-//! * [`parallel`] holds the three sweep entry points. [`sweep_streams`]
-//!   scatter/gathers independent vector streams across worker threads,
-//!   configured by one [`SweepConfig`] (lane width, workers, queue
-//!   backend); outcomes come back in stream order, bit-identical to the
-//!   sequential run for any worker count. [`sweep_resumable`] (and its
+//! * [`parallel`] holds [`scatter_gather`], which runs independent work
+//!   items on worker threads and returns the results in item order, and
+//!   the two sweep entry points. [`sweep_resumable`] (and its
 //!   fault-injecting twin [`sweep_resumable_with_faults`]) runs one long
 //!   stream as a single continuous pass made crash-resumable:
 //!   window-boundary checkpoints ([`checkpoint::wire`]) plus a
@@ -65,9 +59,7 @@
 //! per-lane; see [`lane`] and the engine module docs for the invariants.
 //! [`BatchSimulator::run_lanes`] packs up to 64 scalar streams, runs them
 //! in lockstep, and unpacks per-lane outcomes that are bit-identical,
-//! vector for vector, to 64 sequential scalar runs. The sweeps run at
-//! this width with [`SweepConfig::lanes`] set to 64, scattering whole
-//! 64-stream blocks across workers.
+//! vector for vector, to 64 sequential scalar runs.
 //!
 //! # Example
 //!
@@ -110,8 +102,8 @@ pub use engine::{BatchSimulator, LaneSimulator, PlSimulator, StreamOutcome, Vect
 pub use error::{DecodeError, SimError};
 pub use lane::{pack_lanes, LaneWord};
 pub use parallel::{
-    scatter_gather, sweep_resumable, sweep_resumable_with_faults, sweep_streams, FaultPlan,
-    ResumableOptions, ResumableOutcome, SweepConfig, SweepRecovery,
+    scatter_gather, sweep_resumable, sweep_resumable_with_faults, FaultPlan, ResumableOptions,
+    ResumableOutcome, SweepRecovery,
 };
 pub use queue::{EventQueue, QueueKind};
 pub use reference::ReferenceSimulator;

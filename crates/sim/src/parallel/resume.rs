@@ -80,7 +80,8 @@ pub struct ResumableOptions {
     /// Ignored: the sweep is one sequential pass. Kept only so existing
     /// callers still compile; it is slated for deletion.
     pub jobs: usize,
-    /// Event-queue backend of the sweep's simulator.
+    /// Ignored: the engine has one event queue. Kept only so existing
+    /// callers still compile; it is slated for deletion.
     pub queue: QueueKind,
     /// `true` resumes an interrupted sweep already in the directory;
     /// `false` starts fresh and refuses a directory that has one.
@@ -655,7 +656,7 @@ pub fn sweep_resumable_with_faults(
     recovery.restart_window = n_windows;
     if results.len() < n_windows {
         // Building the simulator also validates the netlist.
-        let mut sim = PlSimulator::with_queue(pl, delays.clone(), opts.queue)?;
+        let mut sim = PlSimulator::new(pl, delays.clone())?;
         let restart = restore_latest(
             &mut sim,
             dir,

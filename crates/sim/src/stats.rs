@@ -7,7 +7,6 @@ use rand::{Rng, SeedableRng};
 use crate::delay::DelayModel;
 use crate::engine::PlSimulator;
 use crate::error::SimError;
-use crate::queue::QueueKind;
 
 /// Aggregate of per-vector latencies (ns).
 ///
@@ -121,10 +120,8 @@ pub fn random_vectors(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>
 }
 
 /// Runs the given input vectors through a netlist on one simulator (state
-/// carries across vectors) scheduling through the `queue` backend, and
-/// returns the outputs per vector plus latency statistics. Outputs and
-/// latencies are backend-invariant (the backend only changes
-/// queue-operation cost, never the event schedule).
+/// carries across vectors) and returns the outputs per vector plus
+/// latency statistics.
 ///
 /// # Errors
 ///
@@ -133,9 +130,8 @@ pub fn measure_latency_on(
     pl: &PlNetlist,
     delays: &DelayModel,
     vectors: &[Vec<bool>],
-    queue: QueueKind,
 ) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
-    let mut sim = PlSimulator::with_queue(pl, delays.clone(), queue)?;
+    let mut sim = PlSimulator::new(pl, delays.clone())?;
     let mut outputs = Vec::with_capacity(vectors.len());
     let mut lat = Vec::with_capacity(vectors.len());
     for v in vectors {
@@ -161,7 +157,7 @@ pub fn measure_latency(
     seed: u64,
 ) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
     let vectors = random_vectors(pl.input_gates().len(), count, seed);
-    measure_latency_on(pl, delays, &vectors, QueueKind::default())
+    measure_latency_on(pl, delays, &vectors)
 }
 
 #[cfg(test)]

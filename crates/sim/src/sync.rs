@@ -84,15 +84,12 @@ pub fn verify_equivalence(
 ) -> Result<Result<(), Mismatch>, SimError> {
     let mut ssim = SyncSimulator::new(sync).expect("sync netlist must validate");
     let mut psim = PlSimulator::new(pl, delays.clone())?;
-    // The PL word is compared and discarded every iteration — one scratch
-    // buffer serves the whole sweep instead of a fresh Vec per vector.
-    let mut po = Vec::new();
     for (i, v) in vectors.iter().enumerate() {
         let so = ssim.step(v).map_err(|_| SimError::InputArityMismatch {
             got: v.len(),
             expected: sync.inputs().len(),
         })?;
-        psim.run_vector_into(v, &mut po)?;
+        let po = psim.run_vector(v)?.outputs;
         if so != po {
             return Ok(Err(Mismatch {
                 vector: i,

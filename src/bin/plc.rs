@@ -54,7 +54,7 @@ const SEED: OptSpec = OptSpec {
 const JOBS: OptSpec = OptSpec {
     long: "--jobs",
     value: Some("J"),
-    help: "worker threads for the simulate stage: the plain and EE variants, or with --lanes the 64 substreams, are spread over them (0 = one per core; results are identical at any value)",
+    help: "worker threads for the simulate stage: the plain and EE variants are spread over them, so at most two are used (0 = one per core; results are identical at any value)",
 };
 const WINDOW: OptSpec = OptSpec {
     long: "--window",
@@ -64,12 +64,7 @@ const WINDOW: OptSpec = OptSpec {
 const LANES: OptSpec = OptSpec {
     long: "--lanes",
     value: Some("N"),
-    help: "stripe the vectors across 64 substreams and sweep them at lane width N: 1 = scalar engines, 64 = the word-parallel batch engine (outputs are bit-identical either way; prints a lane digest)",
-};
-const QUEUE: OptSpec = OptSpec {
-    long: "--queue",
-    value: Some("KIND"),
-    help: "event-queue backend for simulation: heap (default) or ladder (calendar queue; results are bit-identical either way)",
+    help: "stripe the vectors across 64 substreams and run them on the word-parallel batch engine (N must be 64; prints a lane digest)",
 };
 const THRESHOLD: OptSpec = OptSpec {
     long: "--threshold",
@@ -137,7 +132,6 @@ const STAGE_GATED: &[(OptSpec, Stage)] = &[
     (NO_LINT, Stage::Lint),
     (LINT_LEVEL, Stage::Lint),
     (WINDOW, Stage::Simulate),
-    (QUEUE, Stage::Simulate),
     (OPTIMIZE, Stage::Optimize),
     (LUT_SIZE, Stage::Techmap),
     (VERILOG, Stage::Techmap),
@@ -171,7 +165,6 @@ const SPEC: CliSpec = CliSpec {
         JOBS,
         WINDOW,
         LANES,
-        QUEUE,
         CHECKPOINT_DIR,
         RESUME,
         THRESHOLD,
@@ -278,7 +271,6 @@ const CLIENT_SPEC: CliSpec = CliSpec {
         JOBS,
         WINDOW,
         LANES,
-        QUEUE,
         THRESHOLD,
         OPTIMIZE,
         LUT_SIZE,
@@ -386,9 +378,6 @@ fn flow_options(args: &ParsedArgs) -> FlowOptions {
     opts.map.lut_size = args.value_or(LUT_SIZE.long, opts.map.lut_size);
     if let Some(t) = args.value_opt(THRESHOLD.long) {
         opts.ee.cost_threshold = t;
-    }
-    if let Some(q) = args.value_opt(QUEUE.long) {
-        opts.queue = q;
     }
     opts.window = args.value_opt(WINDOW.long);
     opts.lanes = args.value_opt(LANES.long);
@@ -828,17 +817,15 @@ fn drive(
         return Ok(());
     }
     outln!(
-        "[simulate]  {} vectors, {} job(s), {} queue  ({:.3}s)",
+        "[simulate]  {} vectors, {} job(s)  ({:.3}s)",
         sim.report.vectors,
         sim.report.jobs,
-        sim.report.queue,
         sim.report.secs,
     )?;
     if let Some(lanes) = sim.report.lanes {
         // Lane protocol: the output words were reassembled from the 64
-        // striped substreams in vector order. The digest line is width-
-        // invariant by the lane-equivalence contract — the CI batch
-        // determinism smoke diffs it between --lanes 1 and --lanes 64.
+        // striped substreams in vector order. The CI batch determinism
+        // smoke checks the digest line against its pinned value.
         outln!(
             "  lane protocol: {lanes}-lane engine{}",
             if sim.stats_ee.is_some() {
@@ -910,10 +897,10 @@ fn print_lint_stage(label: &str, stage: &pl_flow::LintStageReport) -> io::Result
 }
 
 /// Prints the lane protocol's deterministic FNV-1a digest over the
-/// reassembled output words, in vector order. The line carries no lane
-/// width on purpose: `--lanes 1` (64 scalar substream engines) and
-/// `--lanes 64` (one batch engine per block) must print the identical
-/// digest — the CI batch determinism smoke diffs exactly this line.
+/// reassembled output words, in vector order. It equals the digest of the
+/// same 64 substreams run one by one on scalar engines
+/// (`tests/engine_equivalence.rs` pins both), and the CI batch
+/// determinism smoke checks exactly this line.
 fn print_lane_digest(words: &[Vec<bool>]) -> io::Result<()> {
     outln!(
         "  lane digest (64 substreams, vector order): {:#018x}",
@@ -922,8 +909,8 @@ fn print_lane_digest(words: &[Vec<bool>]) -> io::Result<()> {
 }
 
 /// Prints one variant's streamed outcome with a deterministic FNV-1a
-/// digest of the output words — `--jobs`, `--queue` and
-/// `--checkpoint-dir` must never change this line (the resumable sweep is
+/// digest of the output words — `--jobs` and `--checkpoint-dir` must
+/// never change this line (the resumable sweep is
 /// bit-identical to the plain stream), which the CI smoke steps assert by
 /// diffing it across runs.
 /// The words are passed separately because the flow's stream outcomes

@@ -18,9 +18,7 @@ use pl_core::ee::EeOptions;
 use pl_core::trigger::{search_triggers_baseline, TriggerCache};
 use pl_core::{PlGateId, PlGateKind, PlNetlist};
 use pl_netlist::Netlist;
-use pl_sim::{
-    DelayModel, PlSimulator, QueueKind, ReferenceSimulator, ResumableOptions, SweepConfig,
-};
+use pl_sim::{DelayModel, PlSimulator, ReferenceSimulator, ResumableOptions};
 use pl_techmap::{map_to_lut4, MapOptions};
 
 mod common;
@@ -169,53 +167,36 @@ fn memoized_search_identical_on_random_lut4s() {
 
 // ---- parallel-vs-sequential determinism -------------------------------
 //
-// The parallel sweep subsystem (`pl_sim::parallel`) must be a pure
-// wall-clock optimization: for every worker count its merged results are
-// bit-identical — outputs AND f64 latencies/makespans compared exactly,
-// no tolerance — to the sequential single-simulator run of the same
-// schedule.
+// Running independent streams on worker threads
+// (`pl_sim::scatter_gather`) must be a pure wall-clock optimization: for
+// every worker count the gathered results are bit-identical — outputs
+// AND f64 makespans compared exactly, no tolerance — to the sequential
+// run of the same streams.
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Scalar engines on `jobs` workers with the default queue.
-fn scalar_config(jobs: usize) -> SweepConfig {
-    SweepConfig {
-        jobs,
-        ..SweepConfig::default()
-    }
-}
-
-/// Sequential baseline for [`pl_sim::sweep_streams`]: one private
-/// simulator per stream, run in stream order on the calling thread.
-fn sequential_streams(pl: &PlNetlist, streams: &[Vec<Vec<bool>>]) -> Vec<pl_sim::StreamOutcome> {
-    streams
-        .iter()
-        .map(|s| {
-            PlSimulator::new(pl, DelayModel::default())
-                .expect("builds")
-                .run_stream(s)
-                .expect("streams")
-        })
-        .collect()
-}
-
-/// Asserts the parallel sweep is bit-identical to the sequential engine
-/// on `pl` at every worker count.
+/// Asserts that running each stream on its own simulator from the
+/// initial marking, the streams spread over worker threads, is
+/// bit-identical to running them one by one, at every worker count.
 fn assert_parallel_matches_sequential(pl: &PlNetlist, streams: &[Vec<Vec<bool>>], context: &str) {
-    let delays = DelayModel::default();
-    let sequential = sequential_streams(pl, streams);
+    let run = |_: usize, s: &Vec<Vec<bool>>| {
+        PlSimulator::new(pl, DelayModel::default())
+            .expect("builds")
+            .run_stream(s)
+            .expect("streams")
+    };
+    let sequential: Vec<_> = streams.iter().enumerate().map(|(i, s)| run(i, s)).collect();
     for jobs in WORKER_COUNTS {
-        let par = pl_sim::sweep_streams(pl, &delays, streams, scalar_config(jobs))
-            .unwrap_or_else(|e| panic!("{context}: sweep failed at jobs={jobs}: {e}"));
         // StreamOutcome derives PartialEq over outputs, makespan and
         // throughput — this is an exact (bitwise f64) comparison.
+        let par = pl_sim::scatter_gather(jobs, streams, run);
         assert_eq!(par, sequential, "{context}: jobs={jobs} diverged");
     }
 }
 
 /// Per-benchmark deterministic stream set (a few independent streams of
 /// varying length, like a multi-seed sweep would issue).
-fn sweep_streams_for(pl: &PlNetlist, id: &str) -> Vec<Vec<Vec<bool>>> {
+fn parallel_streams_for(pl: &PlNetlist, id: &str) -> Vec<Vec<Vec<bool>>> {
     (0..3)
         .map(|k| {
             vectors(
@@ -234,7 +215,7 @@ fn sweep_streams_for(pl: &PlNetlist, id: &str) -> Vec<Vec<Vec<bool>>> {
 fn parallel_sweep_bit_identical_on_itc99_suite() {
     for bench in pl_itc99::catalog() {
         let (plain, ee) = itc99_netlists(bench.id);
-        let streams = sweep_streams_for(&plain, bench.id);
+        let streams = parallel_streams_for(&plain, bench.id);
         assert_parallel_matches_sequential(&plain, &streams, &format!("{} plain", bench.id));
         assert_parallel_matches_sequential(&ee, &streams, &format!("{} ee", bench.id));
     }
@@ -323,15 +304,13 @@ fn assert_checkpoint_resume_identical(pl: &PlNetlist, vecs: &[Vec<bool>], contex
     }
 }
 
-/// Asserts the resumable sweep on the `queue` backend reproduces a
-/// heap-engine `run_stream` bitwise on `pl` at every window size given —
-/// on a fresh run, and on a run killed after its first journal append
-/// and then resumed.
+/// Asserts the resumable sweep reproduces `run_stream` bitwise on `pl`
+/// at every window size given — on a fresh run, and on a run killed
+/// after its first journal append and then resumed.
 fn assert_resumable_matches_run_stream(
     pl: &PlNetlist,
     vecs: &[Vec<bool>],
     windows: &[usize],
-    queue: QueueKind,
     context: &str,
 ) {
     let delays = DelayModel::default();
@@ -342,7 +321,6 @@ fn assert_resumable_matches_run_stream(
     for &window in windows {
         let opts = ResumableOptions {
             window,
-            queue,
             ..ResumableOptions::default()
         };
         let dir = TempDir::new("eq");
@@ -400,7 +378,6 @@ fn resumable_sweep_bit_identical_on_itc99_suite() {
                 netlist,
                 &vecs,
                 &[2, 5],
-                QueueKind::Heap,
                 &format!("{} {label}", bench.id),
             );
         }
@@ -418,13 +395,7 @@ fn resumable_sweep_full_grid_on_small_benchmarks() {
         let windows = [1, 2, 3, vecs.len() + 5];
         for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
             let context = format!("{id} {label}");
-            assert_resumable_matches_run_stream(
-                netlist,
-                &vecs,
-                &windows,
-                QueueKind::Heap,
-                &context,
-            );
+            assert_resumable_matches_run_stream(netlist, &vecs, &windows, &context);
         }
     }
 }
@@ -446,9 +417,8 @@ fn checkpoint_and_resumable_bit_identical_on_random_netlists() {
         let vecs = vectors(mapped.inputs().len(), 8, rng.next_u64());
         assert_checkpoint_resume_identical(&plain, &vecs, "random plain");
         assert_checkpoint_resume_identical(&ee, &vecs, "random ee");
-        let heap = QueueKind::Heap;
-        assert_resumable_matches_run_stream(&plain, &vecs, &[1, 3], heap, "random plain");
-        assert_resumable_matches_run_stream(&ee, &vecs, &[1, 3], heap, "random ee");
+        assert_resumable_matches_run_stream(&plain, &vecs, &[1, 3], "random plain");
+        assert_resumable_matches_run_stream(&ee, &vecs, &[1, 3], "random ee");
         tested += 1;
     }
 }
@@ -479,168 +449,6 @@ fn resumable_checkpoints_do_not_grow_with_stream_position() {
         *max * 4 <= *min * 5,
         "checkpoints grew with the stream: {min} B to {max} B"
     );
-}
-
-// ---- ladder-vs-heap event-queue determinism ----------------------------
-//
-// The event-queue backend (`pl_sim::QueueKind`) must be a pure
-// implementation choice: for every netlist and vector schedule the
-// calendar/ladder queue produces outcomes bit-identical — outputs AND f64
-// latencies/makespans/timestamps compared exactly — to the binary-heap
-// backend, checkpoints are portable between backends in both directions,
-// and the resumable sweep on the ladder reproduces the heap-sequential
-// stream.
-
-/// Per-vector fingerprint used by the cross-backend harnesses: outputs
-/// plus exact latency/timestamp bits.
-type VectorPrint = (Vec<bool>, u64, u64);
-
-fn run_vectors_fingerprint(sim: &mut PlSimulator<'_>, vecs: &[Vec<bool>]) -> Vec<VectorPrint> {
-    vecs.iter()
-        .map(|v| {
-            let r = sim.run_vector(v).expect("simulates");
-            (r.outputs, r.latency.to_bits(), r.completed_at.to_bits())
-        })
-        .collect()
-}
-
-/// Asserts the ladder backend reproduces the heap backend exactly on
-/// `pl`: per-vector (latency bits included) and streamed (makespan and
-/// throughput bits included).
-fn assert_queue_backends_agree(pl: &PlNetlist, vecs: &[Vec<bool>], context: &str) {
-    let delays = DelayModel::default();
-    let mut heap = PlSimulator::with_queue(pl, delays.clone(), QueueKind::Heap).expect("builds");
-    let mut ladder =
-        PlSimulator::with_queue(pl, delays.clone(), QueueKind::Ladder).expect("builds");
-    assert_eq!(heap.queue_kind(), QueueKind::Heap);
-    assert_eq!(ladder.queue_kind(), QueueKind::Ladder);
-    let hp = run_vectors_fingerprint(&mut heap, vecs);
-    let lp = run_vectors_fingerprint(&mut ladder, vecs);
-    assert_eq!(
-        hp, lp,
-        "{context}: per-vector runs diverged across backends"
-    );
-    assert_eq!(
-        heap.events_processed(),
-        ladder.events_processed(),
-        "{context}: dispatched-event counts diverged"
-    );
-
-    let mut heap = PlSimulator::with_queue(pl, delays.clone(), QueueKind::Heap).expect("builds");
-    let mut ladder = PlSimulator::with_queue(pl, delays, QueueKind::Ladder).expect("builds");
-    let hs = heap.run_stream(vecs).expect("streams");
-    let ls = ladder.run_stream(vecs).expect("streams");
-    // StreamOutcome's PartialEq covers outputs, makespan and throughput —
-    // an exact (bitwise f64) comparison.
-    assert_eq!(hs, ls, "{context}: streamed runs diverged across backends");
-}
-
-/// Asserts checkpoints are queue-kind-portable on `pl`: simulate a prefix
-/// mid-stream on `from`, snapshot, resume on a fresh `to`-backend
-/// simulator, and require the suffix to be bit-identical to the
-/// uninterrupted heap run.
-fn assert_checkpoint_crosses_backends(
-    pl: &PlNetlist,
-    vecs: &[Vec<bool>],
-    from: QueueKind,
-    to: QueueKind,
-    context: &str,
-) {
-    let delays = DelayModel::default();
-    let split = vecs.len() / 2;
-    let mut base = PlSimulator::new(pl, delays.clone()).expect("builds");
-    let reference = run_vectors_fingerprint(&mut base, vecs);
-
-    let mut source = PlSimulator::with_queue(pl, delays.clone(), from).expect("builds");
-    let prefix = run_vectors_fingerprint(&mut source, &vecs[..split]);
-    assert_eq!(
-        prefix,
-        reference[..split],
-        "{context}: {from} prefix diverged before the snapshot"
-    );
-    let ck = source.snapshot();
-
-    let mut resumed = PlSimulator::with_queue(pl, delays, to).expect("builds");
-    resumed.restore(&ck).expect("checkpoint crosses backends");
-    assert_eq!(resumed.queue_kind(), to, "restore must keep the backend");
-    let suffix = run_vectors_fingerprint(&mut resumed, &vecs[split..]);
-    assert_eq!(
-        suffix,
-        reference[split..],
-        "{context}: {from}->{to} resumed run diverged"
-    );
-}
-
-/// Ladder-vs-heap bit-identity across the full ITC'99 suite, plain + EE.
-#[test]
-fn ladder_queue_bit_identical_on_itc99_suite() {
-    for bench in pl_itc99::catalog() {
-        let (plain, ee) = itc99_netlists(bench.id);
-        let vecs = vectors(plain.input_gates().len(), 8, seed_for(bench.id, 0x1ADD));
-        assert_queue_backends_agree(&plain, &vecs, &format!("{} plain", bench.id));
-        assert_queue_backends_agree(&ee, &vecs, &format!("{} ee", bench.id));
-    }
-}
-
-/// Ladder-vs-heap bit-identity on randomized netlists.
-#[test]
-fn ladder_queue_bit_identical_on_random_netlists() {
-    let mut rng = Lcg::new(0x1ADD_E270_0000_0005);
-    let mut tested = 0;
-    while tested < 10 {
-        let Some(mapped) = random_mapped_netlist(&mut rng) else {
-            continue;
-        };
-        let plain = PlNetlist::from_sync(&mapped).expect("PL maps");
-        let ee = PlNetlist::from_sync(&mapped)
-            .expect("PL maps")
-            .with_early_evaluation(&EeOptions::default())
-            .into_netlist();
-        let vecs = vectors(mapped.inputs().len(), 10, rng.next_u64());
-        assert_queue_backends_agree(&plain, &vecs, "random plain");
-        assert_queue_backends_agree(&ee, &vecs, "random ee");
-        tested += 1;
-    }
-}
-
-/// Checkpoints snapshotted mid-stream on one backend resume bit-identically
-/// on the other, in both directions, plain + EE.
-#[test]
-fn checkpoints_are_queue_kind_portable() {
-    for id in ["b01", "b04", "b09", "b13"] {
-        let (plain, ee) = itc99_netlists(id);
-        let vecs = vectors(plain.input_gates().len(), 8, seed_for(id, 0xCEC4_1ADD));
-        for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
-            assert_checkpoint_crosses_backends(
-                netlist,
-                &vecs,
-                QueueKind::Heap,
-                QueueKind::Ladder,
-                &format!("{id} {label}"),
-            );
-            assert_checkpoint_crosses_backends(
-                netlist,
-                &vecs,
-                QueueKind::Ladder,
-                QueueKind::Heap,
-                &format!("{id} {label}"),
-            );
-        }
-    }
-}
-
-/// The resumable sweep on the ladder backend reproduces the
-/// heap-sequential `run_stream` bitwise, fresh and resumed.
-#[test]
-fn resumable_sweep_on_ladder_matches_heap_run_stream() {
-    for id in ["b03", "b06", "b11", "b14"] {
-        let (plain, ee) = itc99_netlists(id);
-        let vecs = vectors(plain.input_gates().len(), 8, seed_for(id, 0x1ADD_9199));
-        for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
-            let context = format!("{id} {label} ladder");
-            assert_resumable_matches_run_stream(netlist, &vecs, &[3], QueueKind::Ladder, &context);
-        }
-    }
 }
 
 // ---- word-parallel batch-engine determinism ----------------------------
@@ -731,14 +539,13 @@ fn batch_engine_bit_identical_on_random_netlists() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A batch sweep over a vector count NOT divisible by 64 never
-    /// panics: the final ragged block (and ragged substream lengths
-    /// inside it) must still match the scalar sweep exactly.
+    /// A batch run over a vector count NOT divisible by 64 never
+    /// panics: the ragged last round (substreams of unequal length) must
+    /// still match each substream's own scalar run exactly.
     #[test]
     fn ragged_batch_sweep_matches_scalar(
         seed in any::<u64>(),
         total in 1usize..200,
-        jobs in 1usize..5,
     ) {
         prop_assume!(total % 64 != 0);
         let mut rng = Lcg::new(seed);
@@ -748,23 +555,24 @@ proptest! {
         let pl = PlNetlist::from_sync(&mapped).expect("PL maps");
         let delays = DelayModel::default();
         // Stripe `total` vectors 64 ways like the flow's lane protocol
-        // does — the last block is ragged by construction.
+        // does — the last round is ragged by construction.
         let all = vectors(mapped.inputs().len(), total, rng.next_u64());
         let mut subs: Vec<Vec<Vec<bool>>> = vec![Vec::new(); 64];
         for (i, v) in all.iter().enumerate() {
             subs[i % 64].push(v.clone());
         }
-        let batch_config = SweepConfig {
-            lanes: 64,
-            ..scalar_config(jobs)
-        };
-        let batch = pl_sim::sweep_streams(&pl, &delays, &subs, batch_config)
-            .expect("batch sweep runs");
-        let scalar = pl_sim::sweep_streams(&pl, &delays, &subs, scalar_config(jobs))
-            .expect("scalar sweep runs");
-        prop_assert_eq!(batch.len(), scalar.len());
-        for (b, s) in batch.iter().zip(&scalar) {
-            prop_assert_eq!(&b.outputs, &s.outputs);
+        let lanes: Vec<&[Vec<bool>]> = subs.iter().map(Vec::as_slice).collect();
+        let batch = BatchSimulator::new(&pl, delays.clone())
+            .expect("batch engine builds")
+            .run_lanes(&lanes)
+            .expect("batch run");
+        prop_assert_eq!(batch.len(), subs.len());
+        for (b, s) in batch.iter().zip(&subs) {
+            let scalar = PlSimulator::new(&pl, delays.clone())
+                .expect("builds")
+                .run_stream(s)
+                .expect("streams");
+            prop_assert_eq!(&b.outputs, &scalar.outputs);
         }
     }
 }

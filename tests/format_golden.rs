@@ -200,7 +200,6 @@ fn pld1_request_frames_are_pinned() {
             verify: true,
             optimize: true,
             no_lint: true,
-            queue: pl_flow::QueueKind::Ladder,
             window: Some(4),
             lanes: Some(64),
         },

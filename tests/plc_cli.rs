@@ -48,7 +48,6 @@ fn every_stage_gated_flag_is_rejected_with_its_message() {
         (&["--no-lint"], "ingest", "--no-lint"),
         (&["--lint-level", "PL0006=allow"], "ingest", "--lint-level"),
         (&["--window", "4"], "early-eval", "--window"),
-        (&["--queue", "ladder"], "phased", "--queue"),
         (&["--optimize"], "lint", "--optimize"),
         (&["--lut-size", "4"], "optimize", "--lut-size"),
         (&["--verilog"], "optimize", "--verilog"),
@@ -114,7 +113,11 @@ fn contradictory_flags_are_rejected_with_their_messages() {
     );
     assert_usage_error(
         &["b01", "--lanes", "7"],
-        "--lanes 7 is not a supported width (1 = scalar engines, 64 = batch engine)",
+        "--lanes 7 is not a supported width (64 = batch engine)",
+    );
+    assert_usage_error(
+        &["b06", "--lanes", "1"],
+        "--lanes 1 is not a supported width (64 = batch engine)",
     );
     assert_usage_error(
         &["eco", "b01", "--lut-size", "9"],
@@ -172,6 +175,11 @@ fn subcommands_reject_flags_they_do_not_take() {
         "unknown flag --checkpoint-dir",
     );
     assert_usage_error(&["b01", "--edit", "remove:n1"], "unknown flag --edit");
+    assert_usage_error(&["b06", "--queue", "heap"], "unknown flag --queue");
+    assert_usage_error(
+        &["client", "127.0.0.1:1", "b01", "--queue", "heap"],
+        "unknown flag --queue",
+    );
 }
 
 /// The flags `--help` lists, which are exactly the flags the parser takes.
@@ -207,7 +215,6 @@ fn each_subcommand_accepts_its_flag_set() {
             "--jobs",
             "--window",
             "--lanes",
-            "--queue",
             "--checkpoint-dir",
             "--resume",
             "--threshold",
@@ -262,7 +269,6 @@ fn each_subcommand_accepts_its_flag_set() {
             "--jobs",
             "--window",
             "--lanes",
-            "--queue",
             "--threshold",
             "--optimize",
             "--lut-size",

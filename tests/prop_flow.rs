@@ -151,40 +151,40 @@ proptest! {
         }
     }
 
-    /// The calendar/ladder event queue pops in exactly the binary heap's
-    /// order under randomized interleaved push/pop sequences, across
-    /// adversarial tick spreads (dense same-tick collisions up to the
-    /// full u64 tick domain) — the in-isolation determinism contract the
-    /// engine's queue abstraction rests on.
+    /// The event queue pops in exactly ascending `(tick, seq)` order —
+    /// the order of an ordered-set model — under randomized interleaved
+    /// push/pop sequences, across adversarial tick spreads (dense
+    /// same-tick collisions up to the full u64 tick domain): the
+    /// in-isolation determinism contract the engine's queue rests on.
     #[test]
-    fn ladder_queue_pops_identically_to_heap(
+    fn event_queue_pops_in_key_order(
         ops in proptest::collection::vec((any::<u64>(), 0u32..8), 1..250),
         spread_sel in 0u32..4,
     ) {
-        use pl_sim::{EventQueue, QueueKind};
+        use pl_sim::EventQueue;
+        use std::collections::BTreeMap;
         // Small spreads force dense same-tick bursts (FIFO-within-tick is
-        // the contract under test); u64::MAX exercises far-future rungs.
+        // the contract under test).
         let spread = [8u64, 1 << 12, 1 << 30, u64::MAX][spread_sel as usize];
-        let mut heap = EventQueue::<usize>::new(QueueKind::Heap);
-        let mut ladder = EventQueue::<usize>::new(QueueKind::Ladder);
+        let mut queue = EventQueue::<usize>::new();
+        let mut model = BTreeMap::new();
         for (i, &(raw, action)) in ops.iter().enumerate() {
             let tick = if spread == u64::MAX { raw } else { raw % spread };
             // seq = i keeps keys unique and monotone, as the engine does.
             let key = pl_sim::queue::pack_key(tick, i as u64);
-            heap.push(key, i);
-            ladder.push(key, i);
+            queue.push(key, i);
+            model.insert(key, i);
             if action < 3 {
                 // Interleaved pop on ~3/8 of the pushes.
-                prop_assert_eq!(heap.pop(), ladder.pop());
+                prop_assert_eq!(queue.pop(), model.pop_first());
             }
-            prop_assert_eq!(heap.len(), ladder.len());
+            prop_assert_eq!(queue.len(), model.len());
         }
         // Drain: the full remaining pop order must match.
         loop {
-            let h = heap.pop();
-            let l = ladder.pop();
-            let done = h.is_none();
-            prop_assert_eq!(h, l);
+            let got = queue.pop();
+            let done = got.is_none();
+            prop_assert_eq!(got, model.pop_first());
             if done {
                 break;
             }

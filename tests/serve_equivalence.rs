@@ -305,7 +305,7 @@ fn eco_on_warm_entry_matches_in_process_session() {
 }
 
 /// A Compile that differs from the warm entry only in its sweep options
-/// (vectors, seed, jobs, queue, window, lanes, verify) is a hit on that
+/// (vectors, seed, jobs, window, lanes, verify) is a hit on that
 /// entry, answered with the digests of an in-process run under its own
 /// options. The request that compiled the entry still gets its own sweep.
 #[test]
@@ -334,10 +334,6 @@ fn sweep_option_variants_hit_the_warm_compile() {
             ..base.clone()
         },
         RequestOptions {
-            queue: pl_flow::QueueKind::Ladder,
-            ..base.clone()
-        },
-        RequestOptions {
             window: Some(4),
             ..base.clone()
         },
@@ -360,7 +356,7 @@ fn sweep_option_variants_hit_the_warm_compile() {
     assert!(hit);
     assert_eq!(again, first);
     let s = stats(addr);
-    assert_eq!((s.entries, s.hits, s.misses), (1, 8, 1), "{s:?}");
+    assert_eq!((s.entries, s.hits, s.misses), (1, 7, 1), "{s:?}");
     shutdown(addr);
     handle.join().expect("server thread");
 }
@@ -543,6 +539,13 @@ fn daemon_rejects_every_cli_rejected_combination() {
                 ..RequestOptions::default()
             },
             "--lanes 7 is not a supported width",
+        ),
+        (
+            RequestOptions {
+                lanes: Some(1),
+                ..RequestOptions::default()
+            },
+            "--lanes 1 is not a supported width (64 = batch engine)",
         ),
         (
             RequestOptions {

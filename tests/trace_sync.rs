@@ -1,13 +1,12 @@
 //! Integration coverage for `pl_sim::trace` (VCD waveform export) and
 //! `pl_sim::sync` (the cycle-accurate synchronous reference): a byte-exact
-//! VCD golden check, VCD invariance across event-queue backends, and
-//! synchronous cross-checks on a tiny free-running counter — so engine
-//! refactors (like swapping the event-queue backend) cannot silently
-//! change what these observability layers emit.
+//! VCD golden check and synchronous cross-checks on a tiny free-running
+//! counter — so engine refactors cannot silently change what these
+//! observability layers emit.
 
 use pl_core::PlNetlist;
 use pl_netlist::Netlist;
-use pl_sim::{verify_equivalence, DelayModel, PlSimulator, QueueKind, SyncSimulator};
+use pl_sim::{verify_equivalence, BatchSimulator, DelayModel, PlSimulator, SyncSimulator};
 
 fn xor_netlist() -> (Netlist, PlNetlist) {
     let mut n = Netlist::new("golden");
@@ -35,8 +34,8 @@ fn counter_netlist() -> (Netlist, PlNetlist) {
     (n, pl)
 }
 
-fn traced_vcd(pl: &PlNetlist, queue: QueueKind) -> String {
-    let mut sim = PlSimulator::with_queue(pl, DelayModel::default(), queue).unwrap();
+fn traced_vcd(pl: &PlNetlist) -> String {
+    let mut sim = PlSimulator::new(pl, DelayModel::default()).unwrap();
     sim.enable_tracing();
     sim.run_vector(&[true, false]).unwrap();
     sim.run_vector(&[true, true]).unwrap();
@@ -72,22 +71,9 @@ $dumpvars
 0#
 ";
     assert_eq!(
-        traced_vcd(&pl, QueueKind::Heap),
+        traced_vcd(&pl),
         expected,
         "VCD emission drifted from the golden document"
-    );
-}
-
-/// The recorded trace — and hence the emitted VCD — must be byte-identical
-/// across event-queue backends: tracing observes token deliveries, and the
-/// delivery schedule is backend-invariant.
-#[test]
-fn vcd_is_identical_across_queue_backends() {
-    let (_, pl) = xor_netlist();
-    assert_eq!(
-        traced_vcd(&pl, QueueKind::Heap),
-        traced_vcd(&pl, QueueKind::Ladder),
-        "the queue backend leaked into the waveform trace"
     );
 }
 
@@ -109,7 +95,8 @@ fn sync_simulator_counts_cycles_on_counter() {
 }
 
 /// Cross-check: the phased-logic token game reproduces the synchronous
-/// counter's output stream exactly, on either queue backend, both through
+/// counter's output stream exactly, on both engine widths (the scalar
+/// engine and the 64-lane batch engine, every lane alike), both through
 /// `verify_equivalence` and by direct lockstep comparison.
 #[test]
 fn sync_cross_check_on_counter_for_both_backends() {
@@ -119,14 +106,16 @@ fn sync_cross_check_on_counter_for_both_backends() {
         .expect("simulates")
         .expect("PL diverged from the synchronous counter");
 
-    for queue in [QueueKind::Heap, QueueKind::Ladder] {
-        let mut ssim = SyncSimulator::new(&sync).unwrap();
-        let mut psim = PlSimulator::with_queue(&pl, DelayModel::default(), queue).unwrap();
-        for cycle in 0..10 {
-            let so = ssim.step(&[]).unwrap();
-            let po = psim.run_vector(&[]).unwrap().outputs;
-            assert_eq!(so, po, "{queue}: counter diverged at cycle {cycle}");
-        }
+    let mut ssim = SyncSimulator::new(&sync).unwrap();
+    let mut scalar = PlSimulator::new(&pl, DelayModel::default()).unwrap();
+    let mut batch = BatchSimulator::new(&pl, DelayModel::default()).unwrap();
+    for cycle in 0..10 {
+        let so = ssim.step(&[]).unwrap();
+        let po = scalar.run_vector(&[]).unwrap().outputs;
+        assert_eq!(so, po, "scalar: counter diverged at cycle {cycle}");
+        let words = batch.run_vector(&[]).unwrap().outputs;
+        let splat: Vec<u64> = so.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
+        assert_eq!(words, splat, "batch: counter diverged at cycle {cycle}");
     }
 }
 
