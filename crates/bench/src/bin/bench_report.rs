@@ -1,53 +1,44 @@
-//! Machine-readable performance report: `BENCH_sim.json`,
-//! `BENCH_ee_search.json`, `BENCH_batch.json` and `BENCH_eco.json`.
+//! Machine-readable speed report of the two frozen differential baselines
+//! against production code: `BENCH_sim.json` and `BENCH_ee_search.json`.
 //!
-//! This is the cross-PR perf trajectory tracker. It measures, in one run:
+//! The repository benchmark (`perfbench/`) is the end-to-end and
+//! per-layer record of the pipeline's speed, and `tests/table3_golden.rs`
+//! pins Table 3's latencies. This report keeps what neither gives: how
+//! fast the retained pre-refactor baselines run against the code that
+//! replaced them, each measured only after an equivalence gate passes.
 //!
-//! * **Simulator throughput** (`BENCH_sim.json`) — events/sec of the
-//!   integer-tick engine vs the retained pre-refactor baseline
-//!   (`pl_sim::reference`) streaming random vectors through the large
-//!   ITC'99 designs (b14 "viper", b15 "i386 subset"), plus Table 3 latency
-//!   ratios per benchmark from the standard flow (100 vectors, the
-//!   paper's protocol).
-//! * **Trigger-search throughput** (`BENCH_ee_search.json`) — LUT4 trigger
-//!   searches/sec of the word-parallel search vs the per-assignment
-//!   baseline, and the memoized netlist-level EE transformation time.
-//! * **Word-parallel batch engine** (`BENCH_batch.json`) — events/sec and
-//!   vectors/sec of `pl_sim::BatchSimulator` marching 64 substreams
-//!   through one event flow with `u64` lane words, vs the same 64
-//!   substreams run back to back on scalar simulators, on streamed
-//!   b14/b15 — every lane asserted bit-identical to its scalar run
-//!   before any timing is reported.
-//! * **Incremental recompilation** (`BENCH_eco.json`) — wall-clock of a
-//!   single-gate ECO edit recompiled through `pl_flow::EcoSession`
-//!   (cone-limited re-techmap, trigger-cache reuse, downstream skip) vs
-//!   a full `Pipeline::run` on the same edited netlist, on b14/b15 —
-//!   the session's artifacts asserted bit-identical to the scratch
-//!   compile before any timing is reported.
+//! * **Simulator** (`BENCH_sim.json`) — events/sec of the integer-tick
+//!   engine vs `pl_sim::reference`, streaming random vectors through the
+//!   large ITC'99 designs (b14 "viper", b15 "i386 subset"). Outputs and
+//!   makespans are asserted equal first; each engine is then timed five
+//!   times, alternating which runs first, and the medians are reported.
+//! * **Trigger search** (`BENCH_ee_search.json`) — LUT4 trigger
+//!   searches/sec of the word-parallel search vs
+//!   `search_triggers_baseline`, on random LUT4s and on the per-gate
+//!   search stream of b14/b15 (memoized); candidate counts are asserted
+//!   equal.
 //!
 //! Every file records the host CPU count and the `rustc -V` line it was
 //! measured under, so a cross-PR trajectory diff can tell a code change
 //! from a host change. Output files land in the current directory. Usage:
 //!
 //! ```text
-//! cargo run --release -p pl-bench --bin bench_report [--quick] [--jobs J]
+//! cargo run --release -p pl-bench --bin bench_report [--quick]
 //! ```
 //!
-//! `--quick` shrinks vector/repetition counts (CI smoke mode); `--jobs J`
-//! fans the Table 3 ratio flows out across J worker threads (`0` = one
-//! per core) — rows are bit-identical at any J. Run with `--help` for the
-//! full flag list.
+//! `--quick` shrinks vector/repetition counts (CI smoke mode). Run with
+//! `--help` for the full flag list.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use pl_bench::{lcg_vectors, prepared_netlists, run_flow, trigger_search_workload, FlowOptions};
+use pl_bench::{lcg_vectors, prepared_netlists, trigger_search_workload};
 use pl_boolfn::TruthTable;
-use pl_core::ee::EeOptions;
 use pl_core::trigger::{search_triggers, search_triggers_baseline, TriggerCache};
-use pl_core::PlNetlist;
-use pl_sim::{BatchSimulator, DelayModel, PlSimulator, ReferenceSimulator};
-use pl_techmap::{map_to_lut4, MapOptions};
+use pl_sim::{DelayModel, PlSimulator, ReferenceSimulator};
+
+/// Timed runs per engine in the simulator section.
+const SIM_REPS: usize = 5;
 
 struct SimRow {
     id: String,
@@ -58,10 +49,9 @@ struct SimRow {
     new_secs: f64,
 }
 
-struct RatioRow {
-    id: String,
-    delay_no_ee: f64,
-    delay_ee: f64,
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn measure_sim(id: &str, vectors: usize) -> SimRow {
@@ -71,17 +61,24 @@ fn measure_sim(id: &str, vectors: usize) -> SimRow {
         vectors,
         0x5EED_0000 + vectors as u64,
     );
+    // Each closure streams `vecs` through a fresh engine and returns the
+    // outcome, the events processed and the seconds `run_stream` took.
+    let run_ref = || {
+        let mut sim = ReferenceSimulator::new(&pl, DelayModel::default()).expect("live");
+        let t0 = Instant::now();
+        let out = sim.run_stream(&vecs).expect("simulates");
+        (out, sim.events_processed(), t0.elapsed().as_secs_f64())
+    };
+    let run_new = || {
+        let mut sim = PlSimulator::new(&pl, DelayModel::default()).expect("live");
+        let t0 = Instant::now();
+        let out = sim.run_stream(&vecs).expect("simulates");
+        (out, sim.events_processed(), t0.elapsed().as_secs_f64())
+    };
 
-    let mut ref_sim = ReferenceSimulator::new(&pl, DelayModel::default()).expect("live");
-    let t0 = Instant::now();
-    let ref_out = ref_sim.run_stream(&vecs).expect("simulates");
-    let ref_secs = t0.elapsed().as_secs_f64();
-
-    let mut new_sim = PlSimulator::new(&pl, DelayModel::default()).expect("live");
-    let t0 = Instant::now();
-    let new_out = new_sim.run_stream(&vecs).expect("simulates");
-    let new_secs = t0.elapsed().as_secs_f64();
-
+    // The equivalence gate, which doubles as the warm-up.
+    let (ref_out, ref_events, _) = run_ref();
+    let (new_out, events, _) = run_new();
     assert_eq!(ref_out.outputs, new_out.outputs, "{id}: engines diverged");
     assert!(
         (ref_out.makespan - new_out.makespan).abs() < 1e-6,
@@ -94,37 +91,27 @@ fn measure_sim(id: &str, vectors: usize) -> SimRow {
     // engine sees a true tie — values and timestamps are unaffected, only
     // the count of stale (no-op) events differs. Report each engine against
     // its own count.
+
+    // Alternate which engine runs first, so neither always inherits the
+    // other's cache and frequency state.
+    let (mut ref_secs, mut new_secs) = (Vec::new(), Vec::new());
+    for rep in 0..SIM_REPS {
+        if rep % 2 == 0 {
+            ref_secs.push(run_ref().2);
+            new_secs.push(run_new().2);
+        } else {
+            new_secs.push(run_new().2);
+            ref_secs.push(run_ref().2);
+        }
+    }
     SimRow {
         id: id.to_string(),
         vectors,
-        events: new_sim.events_processed(),
-        ref_events: ref_sim.events_processed(),
-        ref_secs,
-        new_secs,
+        events,
+        ref_events,
+        ref_secs: median(ref_secs),
+        new_secs: median(new_secs),
     }
-}
-
-fn measure_ratios(quick: bool, jobs: usize) -> Vec<RatioRow> {
-    let opts = FlowOptions {
-        // Full runs use the paper's 100-vector protocol; the `--jobs`
-        // fan-out keeps the doubled workload inside the wall-time budget
-        // on multi-core hosts.
-        vectors: if quick { 10 } else { 100 },
-        verify: false,
-        ..FlowOptions::default()
-    };
-    let catalog = pl_itc99::catalog();
-    pl_sim::parallel::scatter_gather(jobs, &catalog, |_, b| {
-        // A failing flow must abort the report loudly: silently dropping
-        // a row would make the cross-PR trajectory file read as complete
-        // while a benchmark vanished.
-        let row = run_flow(b, &opts).unwrap_or_else(|e| panic!("flow failed for {}: {e}", b.id));
-        RatioRow {
-            id: row.id.to_string(),
-            delay_no_ee: row.delay_no_ee,
-            delay_ee: row.delay_ee,
-        }
-    })
 }
 
 fn random_masters(count: usize) -> Vec<TruthTable> {
@@ -155,26 +142,18 @@ fn host_meta_json() -> String {
 
 const SPEC: pl_flow::cli::CliSpec = pl_flow::cli::CliSpec {
     bin: "bench_report",
-    about: "write BENCH_sim.json, BENCH_ee_search.json, BENCH_batch.json and BENCH_eco.json",
+    about: "write BENCH_sim.json and BENCH_ee_search.json",
     positional: None,
-    options: &[
-        pl_flow::cli::OptSpec {
-            long: "--quick",
-            value: None,
-            help: "shrink vector/repetition counts (CI smoke mode)",
-        },
-        pl_flow::cli::OptSpec {
-            long: "--jobs",
-            value: Some("J"),
-            help: "worker threads for the Table 3 ratio flows (0 = one per core)",
-        },
-    ],
+    options: &[pl_flow::cli::OptSpec {
+        long: "--quick",
+        value: None,
+        help: "shrink vector/repetition counts (CI smoke mode)",
+    }],
 };
 
 fn main() {
     let args = SPEC.parse_env();
     let quick = args.flag("--quick");
-    let jobs: usize = args.value_or("--jobs", 1);
     let host_meta = host_meta_json();
 
     // ---- BENCH_sim.json -------------------------------------------------
@@ -183,7 +162,7 @@ fn main() {
     for id in ["b14", "b15"] {
         let row = measure_sim(id, stream_vectors);
         println!(
-            "{}: {} events, reference {:.3}s ({:.0} ev/s), engine {:.3}s ({:.0} ev/s), speedup {:.2}x",
+            "{}: {} events, reference {:.3}s ({:.0} ev/s), engine {:.3}s ({:.0} ev/s), speedup {:.2}x (medians of {SIM_REPS})",
             row.id,
             row.events,
             row.ref_secs,
@@ -194,9 +173,8 @@ fn main() {
         );
         rows.push(row);
     }
-    let ratios = measure_ratios(quick, jobs);
 
-    let mut sim_json = format!("{{\n{host_meta}  \"streamed\": [\n");
+    let mut sim_json = format!("{{\n{host_meta}  \"reps\": {SIM_REPS},\n  \"streamed\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             sim_json,
@@ -210,18 +188,6 @@ fn main() {
             r.events as f64 / r.new_secs,
             r.ref_secs / r.new_secs,
             if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    sim_json.push_str("  ],\n  \"table3_latency_ratios\": [\n");
-    for (i, r) in ratios.iter().enumerate() {
-        let _ = writeln!(
-            sim_json,
-            "    {{\"bench\": \"{}\", \"delay_no_ee_ns\": {:.4}, \"delay_ee_ns\": {:.4}, \"ratio\": {:.4}}}{}",
-            r.id,
-            r.delay_no_ee,
-            r.delay_ee,
-            if r.delay_ee > 0.0 { r.delay_no_ee / r.delay_ee } else { 0.0 },
-            if i + 1 < ratios.len() { "," } else { "" },
         );
     }
     sim_json.push_str("  ]\n}\n");
@@ -299,32 +265,6 @@ fn main() {
         wl_base_secs / wl_memo_secs
     );
 
-    // Memoized netlist-level transformation (the per-netlist LUT-class
-    // cache) measured on the largest designs.
-    let mut memo_lines = Vec::new();
-    for id in ["b14", "b15"] {
-        let bench = pl_itc99::by_id(id).expect("exists");
-        let gates = (bench.build)().elaborate().expect("elaborates");
-        let mapped = map_to_lut4(&gates, &MapOptions::default()).expect("maps");
-        let pl = PlNetlist::from_sync(&mapped).expect("PL maps");
-        let t0 = Instant::now();
-        let report = pl.with_early_evaluation(&EeOptions::default());
-        let secs = t0.elapsed().as_secs_f64();
-        let (hits, misses) = (report.cache_hits(), report.cache_misses());
-        println!(
-            "{id}: ee transform {:.3}s, {} pairs, cache {} hits / {} misses",
-            secs,
-            report.pairs().len(),
-            hits,
-            misses
-        );
-        memo_lines.push(format!(
-            "    {{\"bench\": \"{id}\", \"transform_secs\": {:.6}, \"pairs\": {}, \"cache_hits\": {hits}, \"cache_misses\": {misses}}}",
-            secs,
-            report.pairs().len(),
-        ));
-    }
-
     let mut ee_json = format!("{{\n{host_meta}");
     let _ = writeln!(
         ee_json,
@@ -336,207 +276,13 @@ fn main() {
     );
     let _ = writeln!(
         ee_json,
-        "  \"trigger_search_netlist_workload\": {{\"gate_searches\": {}, \"reps\": {wl_reps}, \"baseline_searches_per_sec\": {:.1}, \"memoized_searches_per_sec\": {:.1}, \"speedup\": {:.3}}},",
+        "  \"trigger_search_netlist_workload\": {{\"gate_searches\": {}, \"reps\": {wl_reps}, \"baseline_searches_per_sec\": {:.1}, \"memoized_searches_per_sec\": {:.1}, \"speedup\": {:.3}}}",
         workload.len(),
         wl_searches / wl_base_secs,
         wl_searches / wl_memo_secs,
         wl_base_secs / wl_memo_secs,
     );
-    ee_json.push_str("  \"ee_transform\": [\n");
-    ee_json.push_str(&memo_lines.join(",\n"));
-    ee_json.push_str("\n  ]\n}\n");
+    ee_json.push_str("}\n");
     std::fs::write("BENCH_ee_search.json", &ee_json).expect("write BENCH_ee_search.json");
     println!("wrote BENCH_ee_search.json");
-
-    // ---- BENCH_batch.json ----------------------------------------------
-    // Word-parallel batch engine vs sequential scalar runs: 64 substreams
-    // of `batch_rounds` vectors each on the streamed b14/b15 workload. The
-    // batch engine marches all 64 substreams through ONE event flow with
-    // u64 lane words (every gate evaluation computes all 64 lanes bitwise),
-    // while the scalar pass runs the same 64 substreams back to back on
-    // fresh PlSimulators. Every lane is asserted bit-identical to its
-    // substream's scalar run, vector for vector, BEFORE any timing is
-    // recorded — so the only thing this section measures is the lane win.
-    // Timing follows the other sections' protocol (warm-up pass, then
-    // interleaved reps with the minimum kept).
-    let batch_rounds: usize = if quick { 2 } else { 4 };
-    let batch_reps = if quick { 2 } else { 5 };
-    let mut batch_lines = Vec::new();
-    for id in ["b14", "b15"] {
-        let (_, pl) = prepared_netlists(id);
-        let total = 64 * batch_rounds;
-        let all = lcg_vectors(pl.input_gates().len(), total, 0x5EED_0000 + total as u64);
-        let streams: Vec<&[Vec<bool>]> = all.chunks(batch_rounds).collect();
-        let delays = DelayModel::default();
-        // Warm-up + the lane-equivalence gate.
-        let mut scalar_events = 0u64;
-        let scalar_outs: Vec<_> = streams
-            .iter()
-            .map(|s| {
-                let mut sim = PlSimulator::new(&pl, delays.clone()).expect("live");
-                let r = sim.run_stream(s).expect("streams");
-                scalar_events += sim.events_processed();
-                r.outputs
-            })
-            .collect();
-        let mut batch_sim = BatchSimulator::new(&pl, delays.clone()).expect("live");
-        let batch_outs = batch_sim.run_lanes(&streams).expect("runs");
-        let batch_events = batch_sim.events_processed();
-        for (lane, (b, s)) in batch_outs.iter().zip(&scalar_outs).enumerate() {
-            assert_eq!(
-                &b.outputs, s,
-                "{id}: lane {lane} diverged from its scalar run"
-            );
-        }
-        let (mut scalar_secs, mut batch_secs) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..batch_reps {
-            let t0 = Instant::now();
-            for s in &streams {
-                let r = PlSimulator::new(&pl, delays.clone())
-                    .expect("live")
-                    .run_stream(s)
-                    .expect("streams");
-                std::hint::black_box(&r);
-            }
-            scalar_secs = scalar_secs.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            let r = BatchSimulator::new(&pl, delays.clone())
-                .expect("live")
-                .run_lanes(&streams)
-                .expect("runs");
-            batch_secs = batch_secs.min(t0.elapsed().as_secs_f64());
-            std::hint::black_box(&r);
-        }
-        println!(
-            "{id}: batch engine (64 substreams x {batch_rounds} vectors, min of {batch_reps}) scalar {scalar_secs:.3}s ({:.0} vec/s), 64-lane {batch_secs:.3}s ({:.0} vec/s), speedup {:.2}x, all lanes bit-identical",
-            total as f64 / scalar_secs,
-            total as f64 / batch_secs,
-            scalar_secs / batch_secs,
-        );
-        batch_lines.push(format!(
-            "    {{\"bench\": \"{id}\", \"substreams\": 64, \"rounds_per_substream\": {batch_rounds}, \"vectors\": {total}, \"reps\": {batch_reps}, \"scalar_secs\": {scalar_secs:.6}, \"batch_secs\": {batch_secs:.6}, \"scalar_events\": {scalar_events}, \"batch_events\": {batch_events}, \"scalar_events_per_sec\": {:.1}, \"batch_events_per_sec\": {:.1}, \"scalar_vectors_per_sec\": {:.1}, \"batch_vectors_per_sec\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}}",
-            scalar_events as f64 / scalar_secs,
-            batch_events as f64 / batch_secs,
-            total as f64 / scalar_secs,
-            total as f64 / batch_secs,
-            scalar_secs / batch_secs,
-        ));
-    }
-    let mut batch_json = format!("{{\n{host_meta}");
-    let _ = writeln!(
-        batch_json,
-        "  \"note\": \"64 independent substreams run once through the u64-lane batch engine (one event flow, all lanes per gate eval) vs back to back on scalar simulators; secs are the min over reps after a warm-up; bit_identical asserts every lane equals its substream's scalar run vector for vector before timing; batch_events counts the single shared schedule, so events/sec compares per-schedule dispatch cost while vectors/sec compares end-to-end throughput\","
-    );
-    batch_json.push_str("  \"batch_streams\": [\n");
-    batch_json.push_str(&batch_lines.join(",\n"));
-    batch_json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_batch.json", &batch_json).expect("write BENCH_batch.json");
-    println!("wrote BENCH_batch.json");
-
-    // ---- BENCH_eco.json ------------------------------------------------
-    // Incremental recompilation vs from-scratch: a single-gate table edit
-    // on the two largest catalog designs, applied through an `EcoSession`
-    // (cone-limited re-techmap + trigger-cache reuse) and timed against a
-    // full `Pipeline::run` on the same edited netlist. Bit-identity of
-    // the session's artifacts with the scratch compile is asserted BEFORE
-    // any timing, so the file can only ever report a speedup on results
-    // that are exactly equal. Each timed rep alternates the table between
-    // the original and the flipped bits — re-applying an identical table
-    // would hit the downstream-skip path and time nothing.
-    let eco_vectors = if quick { 4 } else { 16 };
-    let eco_reps = if quick { 2 } else { 5 };
-    let mut eco_lines = Vec::new();
-    for id in ["b14", "b15"] {
-        let pipeline = pl_flow::Pipeline::new(FlowOptions {
-            vectors: eco_vectors,
-            verify: false,
-            ..FlowOptions::default()
-        });
-        let source = pl_flow::CircuitSource::catalog(id).expect("catalog id");
-        let mut session = pipeline.eco_session(&source).expect("compiles");
-        let lut = live_lut(session.netlist());
-        let orig = session
-            .netlist()
-            .node(lut)
-            .lut_table()
-            .expect("is a LUT")
-            .bits();
-        let edit = |bits: u64| {
-            [pl_flow::EcoEdit::ReplaceTable {
-                node: pl_flow::NodeRef::Id(lut.index()),
-                bits,
-            }]
-        };
-
-        // The equivalence gate: flip once, compare against scratch.
-        let out = session.apply_eco(&edit(orig ^ 1)).expect("eco applies");
-        let scratch = pipeline
-            .run(&pl_flow::CircuitSource::Netlist {
-                name: id.to_string(),
-                netlist: session.netlist().clone(),
-            })
-            .expect("scratch compile");
-        let art = session.artifacts();
-        assert_eq!(art.mapped, scratch.mapped, "{id}: mapped diverged");
-        assert_eq!(art.outputs, scratch.outputs, "{id}: outputs diverged");
-        assert_eq!(art.pairs, scratch.pairs, "{id}: EE pairs diverged");
-        let (cuts_reused, two_nodes) = (out.eco.cuts_reused, out.eco.two_nodes);
-        let (hits, misses) = (out.eco.trigger_hits, out.eco.trigger_misses);
-
-        let (mut inc_secs, mut full_secs) = (f64::INFINITY, f64::INFINITY);
-        for rep in 0..eco_reps {
-            let bits = if rep % 2 == 0 { orig } else { orig ^ 1 };
-            let t0 = Instant::now();
-            let o = session.apply_eco(&edit(bits)).expect("eco applies");
-            inc_secs = inc_secs.min(t0.elapsed().as_secs_f64());
-            std::hint::black_box(&o);
-            let t0 = Instant::now();
-            let r = pipeline
-                .run(&pl_flow::CircuitSource::Netlist {
-                    name: id.to_string(),
-                    netlist: session.netlist().clone(),
-                })
-                .expect("full recompile");
-            full_secs = full_secs.min(t0.elapsed().as_secs_f64());
-            std::hint::black_box(&r);
-        }
-        println!(
-            "{id}: eco single-gate edit ({eco_vectors} vectors, min of {eco_reps}) incremental {inc_secs:.3}s, full {full_secs:.3}s, speedup {:.2}x, cuts reused {cuts_reused}/{two_nodes}, cache {hits}h/{misses}m, bit-identical",
-            full_secs / inc_secs,
-        );
-        eco_lines.push(format!(
-            "    {{\"bench\": \"{id}\", \"vectors\": {eco_vectors}, \"reps\": {eco_reps}, \"incremental_secs\": {inc_secs:.6}, \"full_secs\": {full_secs:.6}, \"speedup\": {:.3}, \"cuts_reused\": {cuts_reused}, \"two_input_nodes\": {two_nodes}, \"trigger_cache_hits\": {hits}, \"trigger_cache_misses\": {misses}, \"bit_identical\": true}}",
-            full_secs / inc_secs,
-        ));
-    }
-    let mut eco_json = format!("{{\n{host_meta}");
-    let _ = writeln!(
-        eco_json,
-        "  \"note\": \"one single-gate table edit recompiled incrementally (EcoSession: cone-limited re-techmap, trigger-cache reuse) vs a full Pipeline::run on the same edited netlist; secs are the min over reps; bit_identical asserts the session's mapped netlist, outputs and EE pairs equal the scratch compile's before timing; the timed edit alternates tables so every apply recompiles instead of hitting the downstream-skip path\","
-    );
-    eco_json.push_str("  \"eco\": [\n");
-    eco_json.push_str(&eco_lines.join(",\n"));
-    eco_json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_eco.json", &eco_json).expect("write BENCH_eco.json");
-    println!("wrote BENCH_eco.json");
-}
-
-/// The edit target for the ECO section: the highest-id LUT reachable
-/// backwards from the primary outputs and DFF data pins, so the flip is
-/// guaranteed to land in the mapper's demand cone.
-fn live_lut(n: &pl_netlist::Netlist) -> pl_netlist::NodeId {
-    let mut stack: Vec<pl_netlist::NodeId> = n.outputs().iter().map(|(_, id)| *id).collect();
-    stack.extend(n.dffs().iter().copied());
-    let mut seen = vec![false; n.len()];
-    let mut best: Option<pl_netlist::NodeId> = None;
-    while let Some(id) = stack.pop() {
-        if std::mem::replace(&mut seen[id.index()], true) {
-            continue;
-        }
-        if n.node(id).is_lut() && best.is_none_or(|b| id > b) {
-            best = Some(id);
-        }
-        stack.extend(n.node(id).fanins());
-    }
-    best.expect("design has a live LUT")
 }

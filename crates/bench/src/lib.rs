@@ -3,14 +3,15 @@
 //! Since the pipeline moved into the `pl-flow` crate, this harness is a
 //! thin presentation layer over it: [`run_flow`] runs one ITC99 catalog
 //! entry through [`pl_flow::Pipeline::run`] and folds the artifacts into
-//! one row of the paper's Table 3. [`table3`] runs the whole suite;
-//! [`run_flows_parallel`] / [`table3_parallel`] scatter it across worker
-//! threads (one benchmark per work item, bit-identical rows, deterministic
-//! order); [`format_table3`] prints it in the paper's column layout. The
-//! `table3`, `sweep` and `table1_2` binaries expose these from the command
-//! line — `table3`, `sweep`, `ee_stats` and `bench_report` take `--jobs N`
-//! to select the worker count (`0` = auto) — and the Criterion benches
-//! measure the flow's own runtime costs.
+//! one row of the paper's Table 3; [`run_flows_parallel`] scatters a list
+//! of benchmarks across worker threads (one benchmark per work item,
+//! bit-identical rows, deterministic order); [`format_table3`] prints the
+//! rows in the paper's column layout. The `table3`, `sweep`, `ee_stats`
+//! and `table1_2` binaries expose these from the command line (`table3`,
+//! `sweep` and `ee_stats` take `--jobs N` to select the worker count,
+//! `0` = auto). The `bench_report` binary times the two frozen
+//! differential baselines against production code; the repository
+//! benchmark under `perfbench/` measures everything else.
 //!
 //! [`FlowOptions`], [`FlowError`], [`Lcg`] and [`lcg_vectors`] are
 //! re-exported from `pl-flow` so existing harness callers keep compiling
@@ -118,9 +119,9 @@ pub fn prepared_netlists(id: &str) -> (PlNetlist, PlNetlist) {
 }
 
 /// The per-compute-gate trigger-search stream `with_early_evaluation`
-/// issues for the given benchmarks — the netlist-shaped workload measured
-/// by both the `ee_search` Criterion bench and `bench_report` (one
-/// definition so both report the same metric).
+/// issues for the given benchmarks — the netlist-shaped workload on which
+/// `bench_report` times the memoized search against
+/// `search_triggers_baseline`.
 ///
 /// # Panics
 ///
@@ -141,21 +142,9 @@ pub fn trigger_search_workload(ids: &[&str]) -> Vec<(pl_boolfn::TruthTable, Vec<
     workload
 }
 
-/// Runs the whole suite (b01–b15) — the paper's Table 3.
-///
-/// # Errors
-///
-/// Stops at the first failing benchmark.
-pub fn table3(opts: &FlowOptions) -> Result<Vec<FlowResult>, FlowError> {
-    pl_itc99::catalog()
-        .iter()
-        .map(|b| run_flow(b, opts))
-        .collect()
-}
-
 /// Fans [`run_flow`] out across up to `jobs` worker threads (`0` = auto),
 /// one benchmark per work item. Each flow runs unchanged on a private
-/// worker, so every row is bit-identical to its sequential [`table3`]
+/// worker, so every row is bit-identical to its sequential [`run_flow`]
 /// counterpart; rows come back in `benches` order.
 ///
 /// # Errors
@@ -170,15 +159,6 @@ pub fn run_flows_parallel(
     pl_sim::parallel::scatter_gather(jobs, benches, |_, b| run_flow(b, opts))
         .into_iter()
         .collect()
-}
-
-/// Parallel [`table3`]: the whole suite scattered across `jobs` workers.
-///
-/// # Errors
-///
-/// Same conditions as [`run_flows_parallel`].
-pub fn table3_parallel(opts: &FlowOptions, jobs: usize) -> Result<Vec<FlowResult>, FlowError> {
-    run_flows_parallel(&pl_itc99::catalog(), opts, jobs)
 }
 
 /// Formats results in the paper's Table 3 column layout.

@@ -451,7 +451,9 @@ pub struct EarlyEvaled {
 pub struct SimReport {
     /// Vectors simulated per variant.
     pub vectors: usize,
-    /// Worker threads the stage ran on.
+    /// Worker threads the stage ran on: [`FlowOptions::jobs`] resolved
+    /// by [`pl_sim::parallel::effective_jobs`], so never more than one
+    /// per variant.
     pub jobs: usize,
     /// Window size when the streamed protocol ran (see
     /// [`FlowOptions::window`]); `None` for the per-vector protocol.
@@ -918,10 +920,10 @@ impl Pipeline {
         let variants: Vec<(&PlNetlist, &str)> = std::iter::once((plain, "plain"))
             .chain(ee.map(|pl| (pl, "ee")))
             .collect();
-        let results =
-            pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, &(pl, variant)| {
-                self.simulate_variant(pl, &inputs, stripes.as_deref(), variant)
-            });
+        let jobs = pl_sim::parallel::effective_jobs(self.opts.jobs, variants.len());
+        let results = pl_sim::parallel::scatter_gather(jobs, &variants, |_, &(pl, variant)| {
+            self.simulate_variant(pl, &inputs, stripes.as_deref(), variant)
+        });
         let mut runs = Vec::with_capacity(results.len());
         for r in results {
             runs.push(r?);
@@ -954,7 +956,7 @@ impl Pipeline {
             stream_ee,
             report: SimReport {
                 vectors: self.opts.vectors,
-                jobs: self.opts.jobs,
+                jobs,
                 window: self.opts.window,
                 lanes: self.opts.lanes,
                 recovery_plain: plain.recovery,

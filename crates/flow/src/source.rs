@@ -15,9 +15,9 @@ use pl_netlist::{Netlist, NodeId};
 use crate::error::FlowError;
 
 /// Minimal deterministic LCG (Knuth MMIX constants) shared by the random
-/// circuit source, the Criterion benches, the `bench_report` binary, and
-/// the engine-equivalence suite, so every harness drives the same streams
-/// from the same seeds without a dev-dependency.
+/// circuit source, the `bench_report` binary and the engine-equivalence
+/// suite, so every harness drives the same streams from the same seeds
+/// without a dev-dependency.
 #[derive(Debug, Clone)]
 pub struct Lcg(u64);
 

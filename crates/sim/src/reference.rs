@@ -5,13 +5,14 @@
 //! integer-tick engine ([`crate::LaneSimulator`]) replaced. It is kept for two
 //! purposes:
 //!
-//! 1. **Equivalence testing** — `tests/engine_equivalence.rs` and the
-//!    in-crate tests drive both engines over the same vectors and assert
-//!    bit-identical outputs (and latencies equal to within the femtosecond
-//!    quantization of the new engine's clock).
-//! 2. **Speedup accounting** — the `simulation` Criterion bench and the
-//!    `bench_report` binary measure events/sec against this baseline and
-//!    record the ratio in `BENCH_sim.json`.
+//! 1. **Equivalence testing** — `tests/engine_equivalence.rs` (every
+//!    catalog design, b01–b15) and the in-crate tests drive both engines
+//!    over the same vectors and assert bit-identical outputs (and
+//!    latencies equal to within the femtosecond quantization of the new
+//!    engine's clock).
+//! 2. **Speedup accounting** — the `bench_report` binary measures
+//!    events/sec against this baseline on streamed b14/b15 and records the
+//!    ratio in `BENCH_sim.json`.
 //!
 //! Do not extend this module; new simulator features belong in the
 //! integer-tick engine.

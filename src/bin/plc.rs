@@ -978,10 +978,7 @@ fn write_vcd(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = pl_sim::PlSimulator::new(pl, opts.delays.clone())?;
     sim.enable_tracing();
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.seed);
-    for _ in 0..8 {
-        let v: Vec<bool> = (0..pl.input_gates().len()).map(|_| rng.gen()).collect();
+    for v in pl_sim::random_vectors(pl.input_gates().len(), 8, opts.seed) {
         sim.run_vector(&v)?;
     }
     let vcd = pl_sim::trace::to_vcd(pl, sim.trace(), mapped.name());

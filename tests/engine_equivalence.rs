@@ -72,7 +72,7 @@ fn assert_engines_agree(pl: &PlNetlist, vecs: &[Vec<bool>], context: &str) {
 
 #[test]
 fn itc99_small_benchmarks_bit_identical() {
-    for id in ["b01", "b02", "b03", "b06", "b09", "b10"] {
+    for id in ["b01", "b02", "b03", "b06", "b08", "b09", "b10", "b13"] {
         let (plain, ee) = itc99_netlists(id);
         let vecs = vectors(plain.input_gates().len(), 16, seed_for(id, 0xA5A5));
         assert_engines_agree(&plain, &vecs, &format!("{id} plain"));
@@ -82,7 +82,7 @@ fn itc99_small_benchmarks_bit_identical() {
 
 #[test]
 fn itc99_medium_benchmarks_bit_identical() {
-    for id in ["b04", "b05", "b11", "b12"] {
+    for id in ["b04", "b05", "b07", "b11", "b12", "b14", "b15"] {
         let (plain, ee) = itc99_netlists(id);
         let vecs = vectors(plain.input_gates().len(), 6, seed_for(id, 0xB0B0));
         assert_engines_agree(&plain, &vecs, &format!("{id} plain"));

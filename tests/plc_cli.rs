@@ -1,8 +1,9 @@
 //! The `plc` command-line contract, checked by running the built binary:
 //! the exact message and exit code 2 of every flag combination `plc`
 //! rejects before it runs, the set of flags each subcommand accepts, a
-//! quiet exit when stdout closes early, and that `plc client` against a
-//! live daemon prints the digest lines of `plc eco` with the same flags.
+//! quiet exit when stdout closes early, the worker count the `[simulate]`
+//! line reports, and that `plc client` against a live daemon prints the
+//! digest lines of `plc eco` with the same flags.
 
 use std::process::{Command, Output};
 use std::sync::Arc;
@@ -163,6 +164,35 @@ fn closed_stdout_ends_the_run_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// The `[simulate]` line reports the workers the stage ran on: `--jobs`
+/// resolved against the variants simulated (two with `--ee`, one
+/// without), with `0` asking the OS.
+#[test]
+fn simulate_line_reports_the_workers_used() {
+    let auto = std::thread::available_parallelism().map_or(1, usize::from);
+    let cases: &[(&[&str], usize)] = &[
+        (&["--ee", "--jobs", "64"], 2),
+        (&["--jobs", "64"], 1),
+        (&["--ee", "--jobs", "0"], auto.min(2)),
+    ];
+    for (flags, workers) in cases {
+        let mut args = vec!["b06", "--vectors", "10"];
+        args.extend_from_slice(flags);
+        let out = plc(&args);
+        assert!(out.status.success(), "plc {}: {out:?}", args.join(" "));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("[simulate]"))
+            .expect("a [simulate] line");
+        assert!(
+            line.contains(&format!(" vectors, {workers} job(s) ")),
+            "plc {}: {line}",
+            args.join(" ")
+        );
+    }
 }
 
 #[test]
