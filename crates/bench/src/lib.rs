@@ -144,8 +144,8 @@ pub fn trigger_search_workload(ids: &[&str]) -> Vec<(pl_boolfn::TruthTable, Vec<
 
 /// Fans [`run_flow`] out across up to `jobs` worker threads (`0` = auto),
 /// one benchmark per work item. Each flow runs unchanged on a private
-/// worker, so every row is bit-identical to its sequential [`run_flow`]
-/// counterpart; rows come back in `benches` order.
+/// worker, so every row is bit-identical to the one a sequential
+/// [`run_flow`] call gives; rows come back in `benches` order.
 ///
 /// # Errors
 ///
