@@ -633,6 +633,140 @@ fn flow_lane_protocol_matches_striped_scalar_runs() {
     }
 }
 
+/// `Pipeline::simulate` of `spec` at `vectors` under `lanes`, with the
+/// mapped netlist `Pipeline::verify` checks it against.
+fn flow_simulated(
+    spec: &str,
+    vectors: usize,
+    lanes: Option<usize>,
+) -> (pl_flow::Pipeline, Netlist, pl_flow::Simulated) {
+    use pl_flow::{CircuitSource, FlowOptions, Pipeline};
+    let pipeline = Pipeline::new(FlowOptions {
+        vectors,
+        lanes,
+        ..FlowOptions::default()
+    });
+    let ingested = pipeline
+        .ingest(&CircuitSource::from_spec(spec))
+        .expect("ingests");
+    let mapped = pipeline
+        .techmap(pipeline.optimize(ingested).expect("optimizes"))
+        .expect("maps");
+    let early = pipeline.early_eval(pipeline.phased(&mapped).expect("phases"));
+    let sim = pipeline.simulate(&early).expect("simulates");
+    (pipeline, mapped.netlist, sim)
+}
+
+/// `Pipeline::verify`'s verdict as one comparable line.
+fn verify_verdict(
+    pipeline: &pl_flow::Pipeline,
+    mapped: &Netlist,
+    sim: &pl_flow::Simulated,
+) -> String {
+    use pl_flow::FlowError;
+    match pipeline.verify(mapped, sim) {
+        Ok(report) => format!("ok {}", report.vectors),
+        Err(FlowError::Mismatch { context }) => format!("mismatch: {context}"),
+        Err(FlowError::Netlist(pl_netlist::NetlistError::InputArityMismatch { got, expected })) => {
+            format!("arity: got {got}, expected {expected}")
+        }
+        Err(other) => format!("other: {other}"),
+    }
+}
+
+/// Flips one output bit of vector `i`.
+fn flip_output(sim: &mut pl_flow::Simulated, i: usize) {
+    let word = &mut sim.outputs[i];
+    let b = i % word.len();
+    word[b] = !word[b];
+}
+
+/// Plants faults in a clean `Simulated` and pins `Pipeline::verify`'s
+/// exact verdict for each: the first diverging vector in vector order,
+/// whichever lane and round it sits in, and a short input vector's
+/// arity error unless an earlier vector already diverged.
+fn assert_verify_verdicts(spec: &str, vectors: usize, lanes: Option<usize>) {
+    let (pipeline, mapped, clean) = flow_simulated(spec, vectors, lanes);
+    let ok = format!("ok {vectors}");
+    assert_eq!(verify_verdict(&pipeline, &mapped, &clean), ok, "{spec}");
+    let name = clean.name.clone();
+    let width = mapped.inputs().len();
+    let mismatch = |i: usize| format!("mismatch: {name} vector {i} (sync vs PL)");
+    let arity = format!("arity: got {}, expected {width}", width - 1);
+    let last = vectors - 1;
+    let planted = |plant: &dyn Fn(&mut pl_flow::Simulated)| {
+        let mut sim = clean.clone();
+        plant(&mut sim);
+        verify_verdict(&pipeline, &mapped, &sim)
+    };
+    let mut cases: Vec<(String, String, String)> = Vec::new();
+    let mut single = vec![0, 63, 64, 17, 64 + 17, last];
+    if vectors > 64 * 15 + 17 {
+        single.push(64 * 15 + 17);
+    }
+    for i in single {
+        cases.push((
+            format!("flip {i}"),
+            planted(&|s| flip_output(s, i)),
+            mismatch(i),
+        ));
+    }
+    for (a, b) in [(64, 63), (81, 70), (last, 0)] {
+        cases.push((
+            format!("flips {a} and {b}"),
+            planted(&|s| {
+                flip_output(s, a);
+                flip_output(s, b);
+            }),
+            mismatch(a.min(b)),
+        ));
+    }
+    cases.push((
+        "short output word 81".into(),
+        planted(&|s| {
+            s.outputs[81].pop();
+        }),
+        mismatch(81),
+    ));
+    cases.push((
+        "short input vector 81".into(),
+        planted(&|s| {
+            s.inputs[81].pop();
+        }),
+        arity.clone(),
+    ));
+    cases.push((
+        "flip 70, short input vector 81".into(),
+        planted(&|s| {
+            flip_output(s, 70);
+            s.inputs[81].pop();
+        }),
+        mismatch(70),
+    ));
+    cases.push((
+        "short input vector 81, flip 90".into(),
+        planted(&|s| {
+            s.inputs[81].pop();
+            flip_output(s, 90);
+        }),
+        arity,
+    ));
+    for (fault, got, want) in cases {
+        assert_eq!(got, want, "{spec} lanes {lanes:?}: {fault}");
+    }
+}
+
+/// `Pipeline::verify` names the same first divergence under the lane
+/// protocol (b06 ends in a ragged round of 36 lanes, b14's 1000 vectors
+/// in one of 40) as under the per-vector protocol.
+#[test]
+fn verify_pins_planted_fault_verdicts() {
+    let b06 = concat!(env!("CARGO_MANIFEST_DIR"), "/assets/blif/b06.blif");
+    assert_verify_verdicts(b06, 100, Some(64));
+    assert_verify_verdicts("b14", 1000, Some(64));
+    assert_verify_verdicts(b06, 100, None);
+}
+
 /// Golden tripwire: fixed vectors through b01 and b06 (plain + EE) must
 /// keep producing exactly these output/latency fingerprints. Guards future
 /// engine changes against silent semantic drift even if both engines are
