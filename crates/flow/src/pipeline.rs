@@ -1063,9 +1063,21 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Mismatch`] naming the first diverging vector.
+    /// [`FlowError::Mismatch`] naming the first diverging vector, or both
+    /// lengths when `sim` carries a different number of input vectors and
+    /// output words.
     pub fn verify(&self, mapped: &Netlist, sim: &Simulated) -> Result<VerifyReport, FlowError> {
         let t0 = Instant::now();
+        if sim.inputs.len() != sim.outputs.len() {
+            return Err(FlowError::Mismatch {
+                context: format!(
+                    "{} ({} input vectors vs {} output words)",
+                    sim.name,
+                    sim.inputs.len(),
+                    sim.outputs.len()
+                ),
+            });
+        }
         // Under the lane protocol the stream was striped 64 ways, each
         // substream an independent run from the initial state, so the
         // reference must be striped identically: vector i replays on

@@ -683,8 +683,9 @@ fn flip_output(sim: &mut pl_flow::Simulated, i: usize) {
 
 /// Plants faults in a clean `Simulated` and pins `Pipeline::verify`'s
 /// exact verdict for each: the first diverging vector in vector order,
-/// whichever lane and round it sits in, and a short input vector's
-/// arity error unless an earlier vector already diverged.
+/// whichever lane and round it sits in, a short input vector's arity
+/// error unless an earlier vector already diverged, and both lengths
+/// when the input vectors and output words differ in number.
 fn assert_verify_verdicts(spec: &str, vectors: usize, lanes: Option<usize>) {
     let (pipeline, mapped, clean) = flow_simulated(spec, vectors, lanes);
     let ok = format!("ok {vectors}");
@@ -750,6 +751,24 @@ fn assert_verify_verdicts(spec: &str, vectors: usize, lanes: Option<usize>) {
             flip_output(s, 90);
         }),
         arity,
+    ));
+    let lengths = |inputs: usize, outputs: usize| {
+        format!("mismatch: {name} ({inputs} input vectors vs {outputs} output words)")
+    };
+    cases.push((
+        "inputs cut by 10, flip after the cut".into(),
+        planted(&|s| {
+            s.inputs.truncate(vectors - 10);
+            flip_output(s, vectors - 5);
+        }),
+        lengths(vectors - 10, vectors),
+    ));
+    cases.push((
+        "last output word dropped".into(),
+        planted(&|s| {
+            s.outputs.pop();
+        }),
+        lengths(vectors, vectors - 1),
     ));
     for (fault, got, want) in cases {
         assert_eq!(got, want, "{spec} lanes {lanes:?}: {fault}");
