@@ -70,7 +70,8 @@ use pl_core::trigger::TriggerCache;
 use pl_core::PlNetlist;
 use pl_lint::{LintOptions, LintReport};
 use pl_netlist::blif::BlifNote;
-use pl_netlist::Netlist;
+use pl_netlist::eval::Word;
+use pl_netlist::{Netlist, NetlistError};
 use pl_sim::{
     BatchSimulator, DelayModel, LatencyStats, PlSimulator, QueueKind, ResumableOptions,
     SweepRecovery,
@@ -1061,11 +1062,18 @@ impl Pipeline {
     /// cycle-accurate synchronous reference and checks every output word
     /// against the phased-logic run.
     ///
+    /// The per-vector and streamed protocols ran one stream whose
+    /// flip-flop state carries from vector to vector, so they replay on
+    /// one [`pl_sim::SyncSimulator`] a vector at a time. The lane protocol
+    /// ran 64 independent substreams, so it replays on one 64-lane
+    /// `SyncSimulator<u64>` stepped once per round of 64 vectors.
+    ///
     /// # Errors
     ///
     /// [`FlowError::Mismatch`] naming the first diverging vector, or both
     /// lengths when `sim` carries a different number of input vectors and
-    /// output words.
+    /// output words; [`FlowError::Netlist`] for a wrong-arity input vector
+    /// unless an earlier vector already diverged.
     pub fn verify(&self, mapped: &Netlist, sim: &Simulated) -> Result<VerifyReport, FlowError> {
         let t0 = Instant::now();
         if sim.inputs.len() != sim.outputs.len() {
@@ -1078,22 +1086,10 @@ impl Pipeline {
                 ),
             });
         }
-        // Under the lane protocol the stream was striped 64 ways, each
-        // substream an independent run from the initial state, so the
-        // reference must be striped identically: vector i replays on
-        // reference simulator i % 64.
-        let n_refs = if sim.report.lanes.is_some() { 64 } else { 1 };
-        let mut syncs = Vec::with_capacity(n_refs);
-        for _ in 0..n_refs {
-            syncs.push(pl_sim::SyncSimulator::new(mapped).map_err(FlowError::Netlist)?);
-        }
-        for (i, (v, pl_out)) in sim.inputs.iter().zip(&sim.outputs).enumerate() {
-            let sync_out = syncs[i % n_refs].step(v).map_err(FlowError::Netlist)?;
-            if &sync_out != pl_out {
-                return Err(FlowError::Mismatch {
-                    context: format!("{} vector {i} (sync vs PL)", sim.name),
-                });
-            }
+        if sim.report.lanes.is_some() {
+            verify_rounds::<u64>(mapped, sim)?;
+        } else {
+            verify_rounds::<bool>(mapped, sim)?;
         }
         Ok(VerifyReport {
             vectors: sim.outputs.len(),
@@ -1110,4 +1106,59 @@ impl Pipeline {
     pub fn run(&self, source: &CircuitSource) -> Result<FlowArtifacts, FlowError> {
         Ok(self.eco_session(source)?.into_artifacts())
     }
+}
+
+/// Replays `sim` on one synchronous reference of `W` words, stepped once
+/// per round of [`Word::LANES`] vectors: vector `i` sits in lane
+/// `i % LANES` of round `i / LANES`, the stripe rule of the lane
+/// protocol. A ragged last round is padded with all-false vectors, as
+/// [`pl_sim::BatchSimulator::run_lanes`] pads; their lanes are never
+/// compared. Verdicts come in vector order: the first diverging vector,
+/// or the first wrong-arity one, whichever comes first.
+fn verify_rounds<W: Word>(mapped: &Netlist, sim: &Simulated) -> Result<(), FlowError> {
+    let mut sync = pl_sim::SyncSimulator::<W>::new_lanes(mapped)?;
+    let width = mapped.inputs().len();
+    let mut words = vec![W::splat(false); width];
+    let rounds = sim
+        .inputs
+        .chunks(W::LANES)
+        .zip(sim.outputs.chunks(W::LANES));
+    for (round, (inputs, outputs)) in rounds.enumerate() {
+        // A wrong-arity vector ends the round's packing; the lanes before
+        // it are still checked, so an earlier divergence is named first.
+        let packed = inputs
+            .iter()
+            .position(|v| v.len() != width)
+            .unwrap_or(inputs.len());
+        words.fill(W::splat(false));
+        for (lane, v) in inputs[..packed].iter().enumerate() {
+            for (w, &bit) in words.iter_mut().zip(v) {
+                w.set_lane(lane, bit);
+            }
+        }
+        let sync_out = sync.step(&words)?;
+        for (lane, pl_out) in outputs[..packed].iter().enumerate() {
+            let same = pl_out.len() == sync_out.len()
+                && pl_out
+                    .iter()
+                    .zip(&sync_out)
+                    .all(|(&bit, w)| w.lane(lane) == bit);
+            if !same {
+                return Err(FlowError::Mismatch {
+                    context: format!(
+                        "{} vector {} (sync vs PL)",
+                        sim.name,
+                        round * W::LANES + lane
+                    ),
+                });
+            }
+        }
+        if let Some(v) = inputs.get(packed) {
+            return Err(FlowError::Netlist(NetlistError::InputArityMismatch {
+                got: v.len(),
+                expected: width,
+            }));
+        }
+    }
+    Ok(())
 }

@@ -6,13 +6,126 @@
 //! flip-flop. The phased-logic simulator in `pl-sim` is verified against
 //! this evaluator — PL mapping and early evaluation must never change the
 //! produced output stream, only its timing.
+//!
+//! The evaluator is generic over the [`Word`] it computes with: `bool`
+//! (the default) runs one vector per step, `u64` runs 64 independent
+//! vectors per step, one per bit ("lane"), each with its own flip-flop
+//! state. The topological sweep and the clock edge are the same for both;
+//! only constants and LUT evaluation depend on the word. The `u64` LUT is
+//! a Shannon mux over the truth table, so the 64-lane reference shares no
+//! code with `pl-sim`'s word-parallel engine.
+
+use pl_boolfn::TruthTable;
 
 use crate::analyze::comb_topo_order;
 use crate::error::NetlistError;
 use crate::graph::{Netlist, NodeId};
-use crate::node::NodeKind;
+use crate::node::{NodeKind, MAX_LUT_ARITY};
 
-/// Cycle-based simulator of a [`Netlist`].
+/// A word the [`Evaluator`] computes with: [`Word::LANES`] independent
+/// Boolean vectors side by side.
+///
+/// # Example
+///
+/// ```
+/// use pl_netlist::{eval::{Evaluator, Word}, Netlist};
+///
+/// let mut n = Netlist::new("andgate");
+/// let a = n.add_input("a");
+/// let b = n.add_input("b");
+/// let g = n.add_and2(a, b)?;
+/// n.set_output("y", g);
+/// // 64 vectors in one step: lane l of `a` is bit l of the first word.
+/// let mut sim = Evaluator::<u64>::new_lanes(&n)?;
+/// let y = sim.step(&[0b1100, 0b1010])?;
+/// assert_eq!(y, vec![0b1000]);
+/// assert!(y[0].lane(3) && !y[0].lane(2));
+/// # Ok::<(), pl_netlist::NetlistError>(())
+/// ```
+pub trait Word: Copy + Eq + std::fmt::Debug {
+    /// Independent vectors one word carries.
+    const LANES: usize;
+
+    /// The word whose every lane is `bit`.
+    fn splat(bit: bool) -> Self;
+
+    /// Lane `lane`'s bit.
+    fn lane(self, lane: usize) -> bool;
+
+    /// Sets lane `lane` to `bit`.
+    fn set_lane(&mut self, lane: usize, bit: bool);
+
+    /// `table` evaluated lane by lane; the `i`-th fanin word is variable
+    /// `i`, and there are exactly `table.num_vars()` of them.
+    fn lut(table: &TruthTable, fanins: impl Iterator<Item = Self>) -> Self;
+}
+
+/// One vector per step.
+impl Word for bool {
+    const LANES: usize = 1;
+
+    fn splat(bit: bool) -> Self {
+        bit
+    }
+
+    fn lane(self, lane: usize) -> bool {
+        debug_assert_eq!(lane, 0, "a bool word has one lane");
+        self
+    }
+
+    fn set_lane(&mut self, lane: usize, bit: bool) {
+        debug_assert_eq!(lane, 0, "a bool word has one lane");
+        *self = bit;
+    }
+
+    fn lut(table: &TruthTable, fanins: impl Iterator<Item = Self>) -> Self {
+        let m = fanins
+            .enumerate()
+            .fold(0u32, |m, (i, v)| m | (u32::from(v) << i));
+        table.eval(m)
+    }
+}
+
+/// 64 independent vectors per step, vector `l` in bit `l`.
+impl Word for u64 {
+    const LANES: usize = 64;
+
+    fn splat(bit: bool) -> Self {
+        0u64.wrapping_sub(u64::from(bit))
+    }
+
+    fn lane(self, lane: usize) -> bool {
+        (self >> lane) & 1 == 1
+    }
+
+    fn set_lane(&mut self, lane: usize, bit: bool) {
+        *self = (*self & !(1 << lane)) | (u64::from(bit) << lane);
+    }
+
+    /// A Shannon mux, lowest variable first: the minterm words start as
+    /// the table's bits spread over every lane, and each fanin halves them
+    /// by selecting, lane by lane, between adjacent minterms that differ
+    /// only in its variable.
+    fn lut(table: &TruthTable, fanins: impl Iterator<Item = Self>) -> Self {
+        let bits = table.bits();
+        let mut words = [0u64; 1 << MAX_LUT_ARITY];
+        let mut len = table.num_minterms() as usize;
+        for (m, w) in words[..len].iter_mut().enumerate() {
+            *w = Self::splat((bits >> m) & 1 == 1);
+        }
+        for x in fanins {
+            len /= 2;
+            for j in 0..len {
+                words[j] = (words[2 * j] & !x) | (words[2 * j + 1] & x);
+            }
+        }
+        debug_assert_eq!(len, 1, "one fanin word per table variable");
+        words[0]
+    }
+}
+
+/// Cycle-based simulator of a [`Netlist`], [`Word::LANES`] vectors per
+/// step (one for the default `bool` word).
 ///
 /// # Example
 ///
@@ -30,37 +143,50 @@ use crate::node::NodeKind;
 /// # Ok::<(), pl_netlist::NetlistError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct Evaluator<'a> {
+pub struct Evaluator<'a, W = bool> {
     netlist: &'a Netlist,
     order: Vec<NodeId>,
     /// Current value of every node's output.
-    values: Vec<bool>,
+    values: Vec<W>,
     /// Current flip-flop contents, parallel to `netlist.dffs()`.
-    state: Vec<bool>,
+    state: Vec<W>,
     cycles: u64,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Prepares an evaluator; flip-flops take their declared initial values.
+    /// Prepares a one-vector evaluator; flip-flops take their declared
+    /// initial values.
     ///
     /// # Errors
     ///
     /// Fails if the netlist does not validate.
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
+        Self::new_lanes(netlist)
+    }
+}
+
+impl<'a, W: Word> Evaluator<'a, W> {
+    /// Prepares an evaluator of [`Word::LANES`] vectors per step; every
+    /// lane's flip-flops take their declared initial values.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the netlist does not validate.
+    pub fn new_lanes(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         netlist.validate()?;
         let order = comb_topo_order(netlist)?;
         let state = netlist
             .dffs()
             .iter()
             .map(|&d| match netlist.node(d).kind() {
-                NodeKind::Dff { init, .. } => *init,
+                NodeKind::Dff { init, .. } => W::splat(*init),
                 _ => unreachable!("dffs() only lists flip-flops"),
             })
             .collect();
         Ok(Self {
             netlist,
             order,
-            values: vec![false; netlist.len()],
+            values: vec![W::splat(false); netlist.len()],
             state,
             cycles: 0,
         })
@@ -74,7 +200,7 @@ impl<'a> Evaluator<'a> {
 
     /// Current flip-flop contents (parallel to `netlist.dffs()`).
     #[must_use]
-    pub fn state(&self) -> &[bool] {
+    pub fn state(&self) -> &[W] {
         &self.state
     }
 
@@ -83,7 +209,7 @@ impl<'a> Evaluator<'a> {
     /// # Panics
     ///
     /// Panics if `state.len()` differs from the flip-flop count.
-    pub fn set_state(&mut self, state: &[bool]) {
+    pub fn set_state(&mut self, state: &[W]) {
         assert_eq!(state.len(), self.state.len(), "state width mismatch");
         self.state.copy_from_slice(state);
     }
@@ -95,10 +221,10 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError::InputArityMismatch`] for a wrong-size vector.
-    pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<bool>, NetlistError> {
+    pub fn step(&mut self, inputs: &[W]) -> Result<Vec<W>, NetlistError> {
         let outputs = self.eval_outputs(inputs)?;
         // Clock edge: sample D pins computed by eval_outputs.
-        let next: Vec<bool> = self
+        let next: Vec<W> = self
             .netlist
             .dffs()
             .iter()
@@ -118,7 +244,7 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError::InputArityMismatch`] for a wrong-size vector.
-    pub fn eval_outputs(&mut self, inputs: &[bool]) -> Result<Vec<bool>, NetlistError> {
+    pub fn eval_outputs(&mut self, inputs: &[W]) -> Result<Vec<W>, NetlistError> {
         let pis = self.netlist.inputs();
         if inputs.len() != pis.len() {
             return Err(NetlistError::InputArityMismatch {
@@ -134,15 +260,10 @@ impl<'a> Evaluator<'a> {
         }
         for &id in &self.order {
             match self.netlist.node(id).kind() {
-                NodeKind::Const { value } => self.values[id.index()] = *value,
+                NodeKind::Const { value } => self.values[id.index()] = W::splat(*value),
                 NodeKind::Lut { table, inputs } => {
-                    let mut m = 0u32;
-                    for (i, src) in inputs.iter().enumerate() {
-                        if self.values[src.index()] {
-                            m |= 1 << i;
-                        }
-                    }
-                    self.values[id.index()] = table.eval(m);
+                    let fanins = inputs.iter().map(|src| self.values[src.index()]);
+                    self.values[id.index()] = W::lut(table, fanins);
                 }
                 NodeKind::Input { .. } | NodeKind::Dff { .. } => {}
             }
@@ -157,7 +278,7 @@ impl<'a> Evaluator<'a> {
 
     /// The most recently computed value of an arbitrary node.
     #[must_use]
-    pub fn value(&self, id: NodeId) -> bool {
+    pub fn value(&self, id: NodeId) -> W {
         self.values[id.index()]
     }
 }
@@ -226,6 +347,26 @@ mod tests {
         assert_eq!(sim.eval_outputs(&[true]).unwrap(), vec![false]); // unchanged
         assert_eq!(sim.step(&[true]).unwrap(), vec![false]);
         assert_eq!(sim.eval_outputs(&[false]).unwrap(), vec![true]); // clocked once
+    }
+
+    #[test]
+    fn u64_lanes_are_independent_streams() {
+        // q holds the previous cycle's input, lane by lane.
+        let mut n = Netlist::new("hold");
+        let a = n.add_input("a");
+        let d = n.add_dff(true);
+        let x = n.add_xor2(a, d).unwrap();
+        n.set_dff_input(d, a).unwrap();
+        n.set_output("q", d);
+        n.set_output("x", x);
+        let mut sim = Evaluator::<u64>::new_lanes(&n).unwrap();
+        assert_eq!(sim.state(), &[u64::MAX]);
+        assert_eq!(sim.step(&[0b01]).unwrap(), vec![u64::MAX, !0b01]);
+        assert_eq!(sim.step(&[0b10]).unwrap(), vec![0b01, 0b11]);
+        assert_eq!(sim.state(), &[0b10]);
+        sim.set_state(&[1 << 63]);
+        assert_eq!(sim.eval_outputs(&[0]).unwrap(), vec![1 << 63, 1 << 63]);
+        assert_eq!(sim.cycles(), 2);
     }
 
     #[test]

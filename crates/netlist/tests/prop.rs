@@ -1,9 +1,12 @@
 //! Property-based tests for the netlist IR: cleanup passes and the BLIF
-//! round-trip must preserve sequential behaviour on arbitrary circuits.
+//! round-trip must preserve sequential behaviour on arbitrary circuits,
+//! and the 64-lane evaluator must equal 64 scalar ones.
 
 use pl_boolfn::TruthTable;
-use pl_netlist::{blif, eval::Evaluator, opt, Netlist, NodeId};
+use pl_netlist::eval::{Evaluator, Word};
+use pl_netlist::{blif, opt, Netlist, NodeId, MAX_LUT_ARITY};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 #[derive(Debug, Clone)]
 struct Recipe {
@@ -12,6 +15,9 @@ struct Recipe {
     luts: Vec<(u64, Vec<usize>)>,
     consts: Vec<bool>,
     num_outputs: usize,
+    /// Extra outputs wired straight to an input, a constant or a
+    /// flip-flop (picked modulo the pool before the first LUT).
+    taps: Vec<usize>,
 }
 
 fn arb_recipe() -> impl Strategy<Value = Recipe> {
@@ -21,20 +27,24 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
         proptest::collection::vec(
             (
                 any::<u64>(),
-                proptest::collection::vec(any::<usize>(), 1..5),
+                proptest::collection::vec(any::<usize>(), 1..=MAX_LUT_ARITY),
             ),
             1..20,
         ),
         proptest::collection::vec(any::<bool>(), 0..3),
         1usize..5,
+        proptest::collection::vec(any::<usize>(), 0..3),
     )
-        .prop_map(|(num_inputs, num_dffs, luts, consts, num_outputs)| Recipe {
-            num_inputs,
-            num_dffs,
-            luts,
-            consts,
-            num_outputs,
-        })
+        .prop_map(
+            |(num_inputs, num_dffs, luts, consts, num_outputs, taps)| Recipe {
+                num_inputs,
+                num_dffs,
+                luts,
+                consts,
+                num_outputs,
+                taps,
+            },
+        )
 }
 
 fn build(r: &Recipe) -> Netlist {
@@ -48,6 +58,7 @@ fn build(r: &Recipe) -> Netlist {
     }
     let dffs: Vec<NodeId> = (0..r.num_dffs).map(|k| n.add_dff(k % 3 == 0)).collect();
     pool.extend(&dffs);
+    let sources = pool.len();
     for (bits, fanins) in &r.luts {
         let srcs: Vec<NodeId> = fanins.iter().map(|&f| pool[f % pool.len()]).collect();
         let t = TruthTable::from_bits(srcs.len(), *bits);
@@ -63,11 +74,13 @@ fn build(r: &Recipe) -> Netlist {
             pool[pool.len() - 1 - (k % pool.len().min(3))],
         );
     }
+    for (k, &t) in r.taps.iter().enumerate() {
+        n.set_output(format!("t{k}"), pool[t % sources]);
+    }
     n
 }
 
 fn behaviour(n: &Netlist, cycles: usize, seed: u64) -> Vec<Vec<bool>> {
-    use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut sim = Evaluator::new(n).expect("validates");
     (0..cycles)
@@ -167,6 +180,40 @@ proptest! {
         let decls = v.lines().filter(|l| l.trim_start().starts_with("wire ")).count();
         let assigns = v.lines().filter(|l| l.contains("assign ")).count();
         prop_assert!(assigns >= decls, "wires without drivers:\n{v}");
+    }
+
+    /// The 64-lane evaluator equals 64 scalar ones: stepped on random
+    /// words, lane `l` of every output word and of `state()` equals a
+    /// scalar evaluator fed lane `l`'s bits, before and after a random
+    /// `set_state` halfway through.
+    #[test]
+    fn u64_lanes_match_scalar_evaluators(recipe in arb_recipe(), seed in any::<u64>()) {
+        let n = build(&recipe);
+        prop_assume!(n.validate().is_ok());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let lane_bits = |words: &[u64], l: usize| -> Vec<bool> {
+            words.iter().map(|w| w.lane(l)).collect()
+        };
+        let mut wide = Evaluator::<u64>::new_lanes(&n).expect("validates");
+        let mut scalars: Vec<Evaluator> = (0..u64::LANES)
+            .map(|_| Evaluator::new(&n).expect("validates"))
+            .collect();
+        for cycle in 0..8 {
+            if cycle == 4 {
+                let state: Vec<u64> = (0..n.dffs().len()).map(|_| rng.gen()).collect();
+                wide.set_state(&state);
+                for (l, s) in scalars.iter_mut().enumerate() {
+                    s.set_state(&lane_bits(&state, l));
+                }
+            }
+            let words: Vec<u64> = (0..n.inputs().len()).map(|_| rng.gen()).collect();
+            let outs = wide.step(&words).expect("in range");
+            for (l, s) in scalars.iter_mut().enumerate() {
+                let want = s.step(&lane_bits(&words, l)).expect("in range");
+                prop_assert_eq!(lane_bits(&outs, l), want, "lane {} cycle {}", l, cycle);
+                prop_assert_eq!(lane_bits(wide.state(), l), s.state(), "lane {} cycle {}", l, cycle);
+            }
+        }
     }
 
     /// Dead-node elimination keeps exactly the output cones.

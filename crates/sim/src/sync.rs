@@ -1,7 +1,8 @@
 //! Synchronous reference simulation and PL equivalence checking.
 
 use pl_core::PlNetlist;
-use pl_netlist::{eval::Evaluator, Netlist};
+use pl_netlist::eval::{Evaluator, Word};
+use pl_netlist::Netlist;
 
 use crate::delay::DelayModel;
 use crate::engine::PlSimulator;
@@ -9,20 +10,37 @@ use crate::error::SimError;
 
 /// Cycle-accurate synchronous simulator (thin wrapper over the netlist
 /// evaluator, mirroring [`PlSimulator`]'s vector-at-a-time interface).
+///
+/// Generic over the evaluator's [`Word`]: the default `bool` steps one
+/// vector at a time; `SyncSimulator<u64>` steps 64 independent vectors,
+/// one per bit, which is how `Pipeline::verify` replays the lane
+/// protocol's 64 substreams on one reference.
 #[derive(Debug, Clone)]
-pub struct SyncSimulator<'a> {
-    eval: Evaluator<'a>,
+pub struct SyncSimulator<'a, W = bool> {
+    eval: Evaluator<'a, W>,
 }
 
 impl<'a> SyncSimulator<'a> {
-    /// Prepares a simulator over a validated netlist.
+    /// Prepares a one-vector simulator over a validated netlist.
     ///
     /// # Errors
     ///
     /// Propagates netlist validation failures.
     pub fn new(netlist: &'a Netlist) -> Result<Self, pl_netlist::NetlistError> {
+        Self::new_lanes(netlist)
+    }
+}
+
+impl<'a, W: Word> SyncSimulator<'a, W> {
+    /// Prepares a simulator of [`Word::LANES`] vectors per step over a
+    /// validated netlist.
+    ///
+    /// # Errors
+    ///
+    /// Propagates netlist validation failures.
+    pub fn new_lanes(netlist: &'a Netlist) -> Result<Self, pl_netlist::NetlistError> {
         Ok(Self {
-            eval: Evaluator::new(netlist)?,
+            eval: Evaluator::new_lanes(netlist)?,
         })
     }
 
@@ -31,7 +49,7 @@ impl<'a> SyncSimulator<'a> {
     /// # Errors
     ///
     /// Propagates evaluator errors (wrong input arity).
-    pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<bool>, pl_netlist::NetlistError> {
+    pub fn step(&mut self, inputs: &[W]) -> Result<Vec<W>, pl_netlist::NetlistError> {
         self.eval.step(inputs)
     }
 
