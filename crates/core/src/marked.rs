@@ -5,16 +5,27 @@
 //! graph and every signal must be part of a directed circuit" — and
 //! **safe** — "each directed circuit has only one active token on it at a
 //! time" (more precisely: every arc lies on some circuit carrying exactly
-//! one token, which bounds every arc's occupancy to one).
+//! one token). In a plain marked graph, where a gate fires only once all
+//! its input arcs are marked and consumes them as it produces, that bounds
+//! every arc's occupancy to one.
+//!
+//! An early-evaluation master is outside that model: it produces its
+//! output as soon as its trigger fires, before it consumes its remaining
+//! inputs. So an EE netlist that passes both checks can still put a second
+//! token on an arc. Removing the ack arc a237 (g35 → g5) from b03's EE
+//! netlist under the default options is such a case: the result is live
+//! and passes [`check_safety`], yet a run double-marks arc a86 at vector 4
+//! of the default seed's 400 (`tests/failure_injection.rs` pins it).
 //!
 //! [`check_liveness`] runs in linear time (the Tarjan search of
 //! [`pl_netlist::scc`], which the netlist and lint layers use too, and a
 //! cycle check on the token-free subgraph) and is executed for every
 //! constructed netlist.
 //! [`check_safety`] does a token-budgeted search per arc and is intended
-//! for tests and small-to-medium designs; the discrete-event simulator
-//! additionally asserts dynamic safety (no arc ever holds two tokens) on
-//! every run.
+//! for tests and small-to-medium designs. Because it cannot see the EE
+//! case above, both discrete-event engines (the production one and the
+//! frozen reference) keep asserting dynamic safety (no arc ever holds two
+//! tokens) on every run.
 
 use pl_netlist::scc;
 
@@ -55,6 +66,12 @@ pub fn check_liveness(pl: &PlNetlist) -> Result<(), PlError> {
 /// Cost is `O(arcs × (gates + arcs))`; use on small/medium designs or in
 /// tests. Construction inserts feedback arcs precisely to establish this
 /// property, so a failure indicates a mapping bug.
+///
+/// Passing is sufficient for a plain marked graph only. An
+/// early-evaluation master produces before it consumes, so an EE netlist
+/// that passes can still double-mark an arc at run time (b03's EE netlist
+/// without ack a237 does, at arc a86; see the module docs). The
+/// simulators' dynamic safety check is the guard for that case.
 ///
 /// # Errors
 ///

@@ -9,7 +9,10 @@ use pl_core::ee::EeOptions;
 use pl_core::marked::{check_liveness, check_safety};
 use pl_core::{PlArcKind, PlError, PlNetlist};
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, FaultPlan, PlSimulator, ResumableOptions, SimCheckpoint, SimError};
+use pl_sim::{
+    DelayModel, FaultPlan, PlSimulator, ReferenceSimulator, ResumableOptions, SimCheckpoint,
+    SimError,
+};
 
 mod common;
 use common::TempDir;
@@ -181,6 +184,66 @@ fn unsound_trigger_is_detected() {
         saw_unsound,
         "the always-fire trigger must eventually be caught"
     );
+}
+
+/// An early-evaluation master produces its output before it consumes its
+/// inputs, which the plain marked-graph model behind `check_safety` does
+/// not capture. In b03's EE netlist, removing the ack arc a237 (g35 → g5)
+/// leaves a graph that passes `check_liveness` and `check_safety`, yet a
+/// run double-marks arc a86: the simulators' dynamic safety check is what
+/// catches it, at vector 4 of the default seed's 400 on both per-vector
+/// engines and in the streamed run.
+#[test]
+fn ee_double_marking_escapes_the_static_safety_check() {
+    let (_, mut ee) = pl_bench::prepared_netlists("b03");
+    let arc = &ee.arcs()[237];
+    assert_eq!(
+        (arc.kind(), arc.src().index(), arc.dst().index()),
+        (PlArcKind::Ack, 35, 5),
+        "b03's EE arc numbering moved"
+    );
+    ee.inject_remove_arc(pl_core::PlArcId::from_index(237));
+    check_liveness(&ee).expect("still live");
+    check_safety(&ee).expect("statically safe");
+    let seed = pl_flow::FlowOptions::default().seed;
+    let vecs = pl_sim::random_vectors(ee.input_gates().len(), 400, seed);
+    let is_violation = |e: &SimError| {
+        matches!(
+            e,
+            SimError::SafetyViolation { arc, producer }
+                if arc.index() == 86 && producer.index() == 5
+        )
+    };
+    let delays = DelayModel::default();
+    let mut scalar = PlSimulator::new(&ee, delays.clone()).unwrap();
+    let mut reference = ReferenceSimulator::new(&ee, delays.clone()).unwrap();
+    for (name, first_error) in [
+        (
+            "PlSimulator::run_vector",
+            vecs.iter()
+                .enumerate()
+                .find_map(|(i, v)| scalar.run_vector(v).err().map(|e| (i, e))),
+        ),
+        (
+            "ReferenceSimulator::run_vector",
+            vecs.iter()
+                .enumerate()
+                .find_map(|(i, v)| reference.run_vector(v).err().map(|e| (i, e))),
+        ),
+    ] {
+        let (i, e) = first_error.unwrap_or_else(|| panic!("{name}: all 400 vectors ran"));
+        assert_eq!(i, 4, "{name}: failed at vector {i} with {e}");
+        assert!(is_violation(&e), "{name}: {e}");
+        assert_eq!(
+            e.to_string(),
+            "safety violation: gate g5 double-marked arc a86"
+        );
+    }
+    let streamed = PlSimulator::new(&ee, delays)
+        .unwrap()
+        .run_stream(&vecs)
+        .expect_err("the stream double-marks a86 too");
+    assert!(is_violation(&streamed), "run_stream: {streamed}");
 }
 
 /// A mid-stream checkpoint of the ripple carry chain with a busy event
