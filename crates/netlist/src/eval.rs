@@ -350,26 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn u64_lanes_are_independent_streams() {
-        // q holds the previous cycle's input, lane by lane.
-        let mut n = Netlist::new("hold");
-        let a = n.add_input("a");
-        let d = n.add_dff(true);
-        let x = n.add_xor2(a, d).unwrap();
-        n.set_dff_input(d, a).unwrap();
-        n.set_output("q", d);
-        n.set_output("x", x);
-        let mut sim = Evaluator::<u64>::new_lanes(&n).unwrap();
-        assert_eq!(sim.state(), &[u64::MAX]);
-        assert_eq!(sim.step(&[0b01]).unwrap(), vec![u64::MAX, !0b01]);
-        assert_eq!(sim.step(&[0b10]).unwrap(), vec![0b01, 0b11]);
-        assert_eq!(sim.state(), &[0b10]);
-        sim.set_state(&[1 << 63]);
-        assert_eq!(sim.eval_outputs(&[0]).unwrap(), vec![1 << 63, 1 << 63]);
-        assert_eq!(sim.cycles(), 2);
-    }
-
-    #[test]
     fn set_state_overrides() {
         let mut n = Netlist::new("s");
         let d = n.add_dff(false);

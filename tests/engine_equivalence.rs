@@ -577,6 +577,39 @@ proptest! {
     }
 }
 
+/// One `Pipeline::simulate` run of `spec` at `vectors` under `lanes`,
+/// with the mapped netlist `Pipeline::verify` checks it against and the
+/// netlists it simulated.
+struct FlowRun {
+    pipeline: pl_flow::Pipeline,
+    mapped: Netlist,
+    early: pl_flow::EarlyEvaled,
+    sim: pl_flow::Simulated,
+}
+
+fn flow_run(spec: &str, vectors: usize, lanes: Option<usize>) -> FlowRun {
+    use pl_flow::{CircuitSource, FlowOptions, Pipeline};
+    let pipeline = Pipeline::new(FlowOptions {
+        vectors,
+        lanes,
+        ..FlowOptions::default()
+    });
+    let ingested = pipeline
+        .ingest(&CircuitSource::from_spec(spec))
+        .expect("ingests");
+    let mapped = pipeline
+        .techmap(pipeline.optimize(ingested).expect("optimizes"))
+        .expect("maps");
+    let early = pipeline.early_eval(pipeline.phased(&mapped).expect("phases"));
+    let sim = pipeline.simulate(&early).expect("simulates");
+    FlowRun {
+        pipeline,
+        mapped: mapped.netlist,
+        early,
+        sim,
+    }
+}
+
 /// The flow's lane protocol end to end: `Pipeline::simulate` at
 /// `lanes: Some(64)`, then `Pipeline::verify`. The outputs must equal 64
 /// striped scalar `run_stream`s of each variant, reassembled in vector
@@ -584,25 +617,18 @@ proptest! {
 /// 100 vectors ends in a ragged round (100 = 64 + 36).
 #[test]
 fn flow_lane_protocol_matches_striped_scalar_runs() {
-    use pl_flow::{CircuitSource, FlowOptions, Pipeline};
     let b06 = concat!(env!("CARGO_MANIFEST_DIR"), "/assets/blif/b06.blif");
     for (spec, vectors, digest) in [
         (b06, 100, 0xfc3f_2091_862c_67ed_u64),
         ("b14", 1000, 0x7822_a19b_8f36_8e76),
     ] {
-        let pipeline = Pipeline::new(FlowOptions {
-            vectors,
-            lanes: Some(64),
-            ..FlowOptions::default()
-        });
-        let source = CircuitSource::from_spec(spec);
-        let ingested = pipeline.ingest(&source).expect("ingests");
-        let mapped = pipeline
-            .techmap(pipeline.optimize(ingested).expect("optimizes"))
-            .expect("maps");
-        let early = pipeline.early_eval(pipeline.phased(&mapped).expect("phases"));
-        let sim = pipeline.simulate(&early).expect("simulates");
-        pipeline.verify(&mapped.netlist, &sim).expect("verifies");
+        let FlowRun {
+            pipeline,
+            mapped,
+            early,
+            sim,
+        } = flow_run(spec, vectors, Some(64));
+        pipeline.verify(&mapped, &sim).expect("verifies");
         assert_eq!(sim.outputs.len(), vectors, "{spec}");
 
         let mut stripes: Vec<Vec<Vec<bool>>> = vec![Vec::new(); 64];
@@ -631,30 +657,6 @@ fn flow_lane_protocol_matches_striped_scalar_runs() {
             "{spec}: lane digest"
         );
     }
-}
-
-/// `Pipeline::simulate` of `spec` at `vectors` under `lanes`, with the
-/// mapped netlist `Pipeline::verify` checks it against.
-fn flow_simulated(
-    spec: &str,
-    vectors: usize,
-    lanes: Option<usize>,
-) -> (pl_flow::Pipeline, Netlist, pl_flow::Simulated) {
-    use pl_flow::{CircuitSource, FlowOptions, Pipeline};
-    let pipeline = Pipeline::new(FlowOptions {
-        vectors,
-        lanes,
-        ..FlowOptions::default()
-    });
-    let ingested = pipeline
-        .ingest(&CircuitSource::from_spec(spec))
-        .expect("ingests");
-    let mapped = pipeline
-        .techmap(pipeline.optimize(ingested).expect("optimizes"))
-        .expect("maps");
-    let early = pipeline.early_eval(pipeline.phased(&mapped).expect("phases"));
-    let sim = pipeline.simulate(&early).expect("simulates");
-    (pipeline, mapped.netlist, sim)
 }
 
 /// `Pipeline::verify`'s verdict as one comparable line.
@@ -687,7 +689,12 @@ fn flip_output(sim: &mut pl_flow::Simulated, i: usize) {
 /// error unless an earlier vector already diverged, and both lengths
 /// when the input vectors and output words differ in number.
 fn assert_verify_verdicts(spec: &str, vectors: usize, lanes: Option<usize>) {
-    let (pipeline, mapped, clean) = flow_simulated(spec, vectors, lanes);
+    let FlowRun {
+        pipeline,
+        mapped,
+        sim: clean,
+        ..
+    } = flow_run(spec, vectors, lanes);
     let ok = format!("ok {vectors}");
     assert_eq!(verify_verdict(&pipeline, &mapped, &clean), ok, "{spec}");
     let name = clean.name.clone();

@@ -234,10 +234,6 @@ fn ee_double_marking_escapes_the_static_safety_check() {
         let (i, e) = first_error.unwrap_or_else(|| panic!("{name}: all 400 vectors ran"));
         assert_eq!(i, 4, "{name}: failed at vector {i} with {e}");
         assert!(is_violation(&e), "{name}: {e}");
-        assert_eq!(
-            e.to_string(),
-            "safety violation: gate g5 double-marked arc a86"
-        );
     }
     let streamed = PlSimulator::new(&ee, delays)
         .unwrap()
